@@ -42,7 +42,7 @@ CholeskyResult cholesky(sim::Machine& machine, Matrix<double>* a, int n,
 
 /// The block size the driver will use for these options on this machine.
 int resolve_block_size(const sim::MachineProfile& profile,
-                       const CholeskyOptions& options);
+                       const FactorOptions& options);
 
 /// Solves A x = b using the fault-tolerant factorization: factorizes on
 /// the simulated node, then applies forward/backward substitution on the

@@ -1,20 +1,13 @@
 #include "abft/lu.hpp"
 
-#include "abft/telemetry.hpp"
-
 #include <algorithm>
-#include <cmath>
-#include <functional>
-#include <utility>
 #include <vector>
 
+#include "abft/driver.hpp"
 #include "blas/lapack.hpp"
 #include "blas/level3.hpp"
 #include "blas/types.hpp"
 #include "common/error.hpp"
-#include "common/fp.hpp"
-#include "runtime/executor.hpp"
-#include "runtime/sanitizer.hpp"
 #include "sim/device_matrix.hpp"
 #include "sim/gpublas.hpp"
 
@@ -35,42 +28,24 @@ using sim::StreamId;
 
 namespace {
 
-using BlockId = std::pair<int, int>;
+using detail::BlockId;
+using detail::Sums;
 
-class LuRun {
+constexpr const char* kUncorrectable = "more than one error per checksum lane";
+
+class LuRun final : public detail::Driver {
  public:
   LuRun(Machine& m, Matrix<double>* a, int n, const LuOptions& opt,
         fault::Injector* injector)
-      : m_(m), a_(a), n_(n), opt_(opt), injector_(injector),
-        tel_(m, opt.event_sink, opt.metrics, injector, opt.profile,
-             opt.timeseries) {
-    FTLA_CHECK(n_ > 0);
+      : Driver(m, a, n, opt, injector, Ladder::AnyError, "lu",
+               // LU costs 2n^3/3 flops.
+               2.0 * n * static_cast<double>(n) * n / 3.0) {
     FTLA_CHECK_MSG(opt_.variant == Variant::NoFt ||
                        opt_.variant == Variant::EnhancedOnline,
                    "the LU extension implements NoFt and EnhancedOnline");
-    if (m_.numeric()) {
-      FTLA_CHECK(a_ != nullptr && a_->rows() == n_ && a_->cols() == n_);
-    }
-    FTLA_CHECK(injector_ == nullptr || m_.numeric());
-    b_ = opt_.block_size > 0 ? opt_.block_size
-                             : m_.profile().magma_block_size;
-    nb_ = (n_ + b_ - 1) / b_;
-    ft_ = opt_.variant == Variant::EnhancedOnline;
   }
-
-  CholeskyResult execute();
 
  private:
-  [[nodiscard]] int bs(int i) const { return std::min(b_, n_ - i * b_); }
-  [[nodiscard]] int off(int i) const { return i * b_; }
-
-  [[nodiscard]] DMat data_region(int row, int col, int rows, int cols) {
-    return DMat{&d_a_, static_cast<std::int64_t>(col) * n_ + row, rows, cols,
-                n_};
-  }
-  [[nodiscard]] DMat data_block(int i, int k) {
-    return data_region(off(i), off(k), bs(i), bs(k));
-  }
   /// Column checksums of block (i, k): 2 rows in the (2nb x n) matrix.
   [[nodiscard]] DMat cchk_block(int i, int k) {
     return DMat{&d_cchk_,
@@ -92,136 +67,50 @@ class LuRun {
                 2 * (k1 - k0), n_};
   }
 
-  void allocate();
-  void upload();
-  void encode();
-  void iterate(int j);
-  void run_once();
-  void final_sweep();
+  void allocate() override;
+  void iterate(int j) override;
+  void final_sweep() override;
+  void dag_iteration(runtime::TaskGraph& g, int j) override;
+  void dag_sweep(runtime::TaskGraph& g) override;
 
-  void verify_col_blocks(const std::vector<BlockId>& blocks, fault::Op attr);
-  void verify_row_blocks(const std::vector<BlockId>& blocks, fault::Op attr);
-  /// Recalc + compare launches for one block on one stream, against the
-  /// column (respectively row) checksums. Shared by the bulk batches and
-  /// the DAG verify tasks so both runtimes issue identical kernels.
-  void issue_col_verify(StreamId s, int bi, int bk, fault::Op attr,
-                        std::int64_t pos, int iter);
-  void issue_row_verify(StreamId s, int bi, int bk, fault::Op attr,
-                        std::int64_t pos, int iter);
-  void absorb(const VerifyOutcome& out);
-
-  void hook_storage(fault::Op op, int j);
-  void hook_computing(fault::Op op, int j);
-
-  // ---- task-graph (DAG) runtime path (docs/runtime.md) ----
-  [[nodiscard]] bool use_dag() const {
-    return opt_.runtime == RuntimeMode::Dag;
+  [[nodiscard]] std::vector<runtime::TileKey> chk_tiles(
+      int i, int k) const override {
+    return {cctile(i, k), rctile(i, k)};
   }
-  void run_once_dag();
-  void dag_encode(runtime::TaskGraph& g);
-  void dag_iteration(runtime::TaskGraph& g, int j);
-  void dag_sweep(runtime::TaskGraph& g);
-  void dag_col_verify(runtime::TaskGraph& g, int bi, int bk, fault::Op attr,
-                      int iter);
-  void dag_row_verify(runtime::TaskGraph& g, int bi, int bk, fault::Op attr,
-                      int iter);
-  void dag_hook(runtime::TaskGraph& g, const char* name, int iter,
-                std::function<void()> fn);
-  [[nodiscard]] std::vector<StreamId> dag_streams() const;
-
-  /// Tile namespaces for dependency inference: data blocks, the two
-  /// checksum flavors, the host panel staging area, and scratch slots.
-  enum TileSpace : int {
-    kTileData = 0,
-    kTileCchk,
-    kTileRchk,
-    kTileHost,
-    kTileScratch
-  };
-  [[nodiscard]] static runtime::TileKey dtile(int i, int k) {
-    return {kTileData, i, k};
+  void issue_encode(StreamId s, int i, int k) override;
+  /// Recalc + compare launches for one block against its column
+  /// (Sums::Columns) or row (Sums::Rows) checksums.
+  void issue_verify(Sums sums, StreamId s, int bi, int bk, fault::Op attr,
+                    std::int64_t pos, int iter) override;
+  [[nodiscard]] const char* verify_task_name(Sums sums) const override {
+    return sums == Sums::Columns ? "verify_c" : "verify_r";
   }
+  /// Defaults per LU context: the panel (Potf2), the U row (Trsm) or a
+  /// trailing block (Gemm) that the op reads or writes.
+  [[nodiscard]] BlockId strike_target(const fault::FaultSpec& spec,
+                                      int j) const override {
+    const int next = std::min(j + 1, nb_ - 1);
+    return {spec.block_row >= 0 ? spec.block_row
+                                : (spec.op == fault::Op::Trsm ? j : next),
+            spec.block_col >= 0 ? spec.block_col
+                                : (spec.op == fault::Op::Potf2 ? j : next)};
+  }
+
+  /// Tile namespaces beyond the shared ones: the two checksum flavors.
+  enum LuTile : int { kTileCchk = kTileDriver, kTileRchk };
   [[nodiscard]] static runtime::TileKey cctile(int i, int k) {
     return {kTileCchk, i, k};
   }
   [[nodiscard]] static runtime::TileKey rctile(int i, int k) {
     return {kTileRchk, i, k};
   }
-  [[nodiscard]] static runtime::TileKey htile() { return {kTileHost, 0, 0}; }
-  [[nodiscard]] static runtime::TileKey stile(int slot) {
-    return {kTileScratch, slot, 0};
-  }
-  std::int64_t dag_slot_ = 0;  ///< round-robin scratch-slot cursor
 
-  Machine& m_;
-  Matrix<double>* a_;
-  int n_;
-  LuOptions opt_;
-  fault::Injector* injector_;
-  Telemetry tel_;
-  int cur_iter_ = -1;  ///< telemetry iteration; -1 outside the j-loop
+  DeviceBuffer d_cchk_;  // column checksums, 2nb x n
+  DeviceBuffer d_rchk_;  // row checksums, n x 2nb
 
-  int b_ = 0;
-  int nb_ = 0;
-  bool ft_ = false;
-
-  DeviceBuffer d_a_;
-  DeviceBuffer d_cchk_;   // column checksums, 2nb x n
-  DeviceBuffer d_rchk_;   // row checksums, n x 2nb
-  DeviceBuffer d_scratch_;
-  std::int64_t scratch_capacity_ = 0;  // doubles
-
-  Matrix<double> pristine_;
-  Matrix<double> h_panel_;       // host panel (n x b)
-  Matrix<double> h_panel_chk_;   // re-encoded column checksums (2nb x b)
-
-  StreamId s_compute_ = 0;
-  StreamId s_chk_ = 0;
-  std::vector<StreamId> s_recalc_;
-
-  CholeskyResult result_;
+  Matrix<double> h_panel_;      // host panel (n x b)
+  Matrix<double> h_panel_chk_;  // re-encoded column checksums (2nb x b)
 };
-
-CholeskyResult LuRun::execute() {
-  allocate();
-  upload();
-  m_.sync_all();
-  const double t0 = m_.host_now();
-
-  bool done = false;
-  while (!done) {
-    try {
-      run_once();
-      done = true;
-      result_.success = true;
-    } catch (const Error& e) {
-      result_.fail_stop_observed |=
-          dynamic_cast<const NotPositiveDefiniteError*>(&e) != nullptr;
-      if (!ft_ || result_.reruns >= opt_.max_reruns) {
-        result_.note = e.what();
-        done = true;
-      } else {
-        ++result_.reruns;
-        tel_.rerun(result_.reruns, e.what());
-        const obs::PhaseScope recover(tel_.profile(), obs::Phase::Recover);
-        upload();
-      }
-    }
-  }
-
-  m_.sync_all();
-  result_.seconds = m_.host_now() - t0;
-  // LU costs 2n^3/3 flops.
-  const double flops = 2.0 * n_ * static_cast<double>(n_) * n_ / 3.0;
-  result_.gflops =
-      result_.seconds > 0.0 ? flops / result_.seconds / 1e9 : 0.0;
-
-  if (result_.success && m_.numeric()) {
-    m_.memcpy_d2h(a_->data(), d_a_, 0, static_cast<std::int64_t>(n_) * n_,
-                  s_compute_, /*blocking=*/true);
-  }
-  return result_;
-}
 
 void LuRun::allocate() {
   d_a_ = m_.alloc(static_cast<std::int64_t>(n_) * n_);
@@ -235,255 +124,67 @@ void LuRun::allocate() {
     h_panel_chk_ = Matrix<double>(2 * nb_, b_);
   }
   h_panel_ = Matrix<double>(n_, b_);
-  if (m_.numeric()) pristine_ = *a_;
-
-  s_compute_ = m_.default_stream();
-  if (ft_) {
-    s_chk_ = m_.create_stream();
-    int streams = opt_.recalc_streams > 0
-                      ? opt_.recalc_streams
-                      : m_.profile().max_concurrent_kernels;
-    if (!opt_.concurrent_recalc) streams = 1;
-    for (int i = 0; i < streams; ++i) s_recalc_.push_back(m_.create_stream());
-  }
+  create_streams(/*xfer_lane=*/false);
 }
 
-void LuRun::upload() {
-  m_.memcpy_h2d(d_a_, 0, m_.numeric() ? pristine_.data() : nullptr,
-                static_cast<std::int64_t>(n_) * n_, s_compute_,
-                /*blocking=*/true);
-}
-
-void LuRun::encode() {
-  if (!ft_) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Encode);
-  const EventId e_up = m_.record_event(s_compute_);
-  for (StreamId s : s_recalc_) m_.stream_wait_event(s, e_up);
-  int q = 0;
-  for (int k = 0; k < nb_; ++k) {
-    for (int i = 0; i < nb_; ++i) {
-      const StreamId s = s_recalc_[q++ % s_recalc_.size()];
-      const DMat blk = data_block(i, k);
-      {
-        const DMat chk = cchk_block(i, k);
-        KernelDesc d{"encode_c", KernelClass::Blas2,
-                     blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-        m_.launch(s, d, [blk, chk] {
-          encode_block(ConstMatrixView<double>(blk.view()), chk.view());
-        });
-      }
-      {
-        const DMat chk = rchk_block(i, k);
-        KernelDesc d{"encode_r", KernelClass::Blas2,
-                     blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-        m_.launch(s, d, [blk, chk] {
-          encode_block_rows(ConstMatrixView<double>(blk.view()), chk.view());
-        });
-      }
-    }
-  }
-  for (StreamId s : s_recalc_) {
-    const EventId e = m_.record_event(s);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(s_chk_, e);
-  }
-}
-
-void LuRun::run_once() {
-  if (use_dag()) {
-    run_once_dag();
-    return;
-  }
-  encode();
-  // Stochastic transfer faults cover the H2D return trips of the host
-  // factored panel and its checksums; every landed corruption stays
-  // inconsistent with the separately shipped checksums, so the K-gated
-  // trailing verifications or the final sweep catch it. The D2H panel
-  // staging copy has no arrival check yet and stays out of the armed
-  // surface (see docs/fault-model.md, residual exposures).
-  sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
-  for (int j = 0; j < nb_; ++j) iterate(j);
-  if (ft_) final_sweep();
-  m_.sync_all();
-}
-
-void LuRun::absorb(const VerifyOutcome& out) {
-  result_.errors_detected += out.errors_detected;
-  result_.errors_corrected += out.errors_corrected;
-  result_.checksum_repairs += out.checksum_repairs;
-  if (out.uncorrectable) {
-    throw UnrecoverableCorruptionError(
-        "more than one error per checksum lane");
-  }
-}
-
-void LuRun::verify_col_blocks(const std::vector<BlockId>& blocks,
-                              fault::Op attr) {
-  if (!ft_ || blocks.empty()) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Verify);
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += blocks.size(); break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += blocks.size(); break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += blocks.size(); break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += blocks.size(); break;
-  }
-  tel_.verify_scheduled(attr, blocks.size());
-  const EventId e_comp = m_.record_event(s_compute_);
-  const EventId e_chk = m_.record_event(s_chk_);
-  const int nstreams = std::max(
-      1, std::min(static_cast<int>(s_recalc_.size()),
-                  static_cast<int>(blocks.size())));
-  for (int i = 0; i < nstreams; ++i) {
-    m_.stream_wait_event(s_recalc_[i], e_comp);
-    m_.stream_wait_event(s_recalc_[i], e_chk);
-  }
-  std::int64_t pos = 0;
-  for (std::size_t q = 0; q < blocks.size(); ++q) {
-    const auto [bi, bk] = blocks[q];
-    issue_col_verify(s_recalc_[q % nstreams], bi, bk, attr, pos, cur_iter_);
-    pos += 2LL * bs(bk);
-  }
-  for (int i = 0; i < nstreams; ++i) {
-    const EventId e = m_.record_event(s_recalc_[i]);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(s_chk_, e);
-  }
-}
-
-void LuRun::issue_col_verify(StreamId s, int bi, int bk, fault::Op attr,
-                             std::int64_t pos, int iter) {
-  const DMat blk = data_block(bi, bk);
-  FTLA_CHECK(pos + 2LL * blk.cols <= scratch_capacity_);
-  const DMat scratch{&d_scratch_, pos, kChecksumRows, blk.cols, 2};
-  KernelDesc rd{"recalc_c", KernelClass::Blas2,
+void LuRun::issue_encode(StreamId s, int i, int k) {
+  const DMat blk = data_block(i, k);
+  const DMat cchk = cchk_block(i, k);
+  const DMat rchk = rchk_block(i, k);
+  KernelDesc dc{"encode_c", KernelClass::Blas2,
                 blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-  m_.launch(s, rd, [blk, scratch] {
-    encode_block(ConstMatrixView<double>(blk.view()), scratch.view());
+  m_.launch(s, dc, [blk, cchk] {
+    encode_block(ConstMatrixView<double>(blk.view()), cchk.view());
   });
-  const DMat chk = cchk_block(bi, bk);
+  KernelDesc dr{"encode_r", KernelClass::Blas2,
+                blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
+  m_.launch(s, dr, [blk, rchk] {
+    encode_block_rows(ConstMatrixView<double>(blk.view()), rchk.view());
+  });
+}
+
+void LuRun::issue_verify(Sums sums, StreamId s, int bi, int bk,
+                         fault::Op attr, std::int64_t pos, int iter) {
+  const DMat blk = data_block(bi, bk);
+  const bool cols = sums == Sums::Columns;
+  const DMat scratch = cols ? DMat{&d_scratch_, pos, kChecksumRows, blk.cols, 2}
+                            : DMat{&d_scratch_, pos, blk.rows, kChecksumRows,
+                                   blk.rows};
+  KernelDesc rd{cols ? "recalc_c" : "recalc_r", KernelClass::Blas2,
+                blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
+  m_.launch(s, rd, [blk, scratch, cols] {
+    if (cols) {
+      encode_block(ConstMatrixView<double>(blk.view()), scratch.view());
+    } else {
+      encode_block_rows(ConstMatrixView<double>(blk.view()), scratch.view());
+    }
+  });
+  const DMat cchk = cchk_block(bi, bk);
   const DMat rchk = rchk_block(bi, bk);
   const Tolerance tol = opt_.tolerance;
-  KernelDesc cd{"verify_c", KernelClass::Compare, 4LL * blk.cols, 0};
+  KernelDesc cd{cols ? "verify_c" : "verify_r", KernelClass::Compare,
+                4LL * (cols ? blk.cols : blk.rows), 0};
   const std::int64_t rflops = rd.flops;
-  m_.launch(s, cd, [this, blk, chk, rchk, tol, scratch, attr, bi, bk, rflops,
-                    iter] {
-    auto out = verify_block(blk.view(), chk.view(),
-                            ConstMatrixView<double>(scratch.view()), tol);
-    // Blocks carry both checksum flavors; after a correction through
-    // the column side, re-derive the row checksums from the repaired
-    // data so the two sides stay coherent (corrections are rare, so
-    // the O(B^2) re-encode is negligible).
+  m_.launch(s, cd, [this, blk, cchk, rchk, tol, scratch, cols, attr, bi, bk,
+                    rflops, iter] {
+    const ConstMatrixView<double> fresh(scratch.view());
+    auto out = cols ? verify_block(blk.view(), cchk.view(), fresh, tol)
+                    : verify_block_rows(blk.view(), rchk.view(), fresh, tol);
+    // Blocks carry both checksum flavors; after a correction through one
+    // side, re-derive the other side's checksums from the repaired data
+    // so the two stay coherent (corrections are rare, so the O(B^2)
+    // re-encode is negligible).
     if (!out.corrections.empty()) {
-      encode_block_rows(ConstMatrixView<double>(blk.view()), rchk.view());
+      if (cols) {
+        encode_block_rows(ConstMatrixView<double>(blk.view()), rchk.view());
+      } else {
+        encode_block(ConstMatrixView<double>(blk.view()), cchk.view());
+      }
     }
     tel_.block_verified(out, attr, iter, bi, bk, rflops, off(bi), blk.rows,
                         off(bk), blk.cols);
-    absorb(out);
+    absorb(out, kUncorrectable);
   });
-}
-
-void LuRun::verify_row_blocks(const std::vector<BlockId>& blocks,
-                              fault::Op attr) {
-  if (!ft_ || blocks.empty()) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Verify);
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += blocks.size(); break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += blocks.size(); break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += blocks.size(); break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += blocks.size(); break;
-  }
-  tel_.verify_scheduled(attr, blocks.size());
-  const EventId e_comp = m_.record_event(s_compute_);
-  const EventId e_chk = m_.record_event(s_chk_);
-  const int nstreams = std::max(
-      1, std::min(static_cast<int>(s_recalc_.size()),
-                  static_cast<int>(blocks.size())));
-  for (int i = 0; i < nstreams; ++i) {
-    m_.stream_wait_event(s_recalc_[i], e_comp);
-    m_.stream_wait_event(s_recalc_[i], e_chk);
-  }
-  std::int64_t pos = 0;
-  for (std::size_t q = 0; q < blocks.size(); ++q) {
-    const auto [bi, bk] = blocks[q];
-    issue_row_verify(s_recalc_[q % nstreams], bi, bk, attr, pos, cur_iter_);
-    pos += 2LL * bs(bi);
-  }
-  for (int i = 0; i < nstreams; ++i) {
-    const EventId e = m_.record_event(s_recalc_[i]);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(s_chk_, e);
-  }
-}
-
-void LuRun::issue_row_verify(StreamId s, int bi, int bk, fault::Op attr,
-                             std::int64_t pos, int iter) {
-  const DMat blk = data_block(bi, bk);
-  FTLA_CHECK(pos + 2LL * blk.rows <= scratch_capacity_);
-  const DMat scratch{&d_scratch_, pos, blk.rows, kChecksumRows, blk.rows};
-  KernelDesc rd{"recalc_r", KernelClass::Blas2,
-                blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-  m_.launch(s, rd, [blk, scratch] {
-    encode_block_rows(ConstMatrixView<double>(blk.view()), scratch.view());
-  });
-  const DMat chk = rchk_block(bi, bk);
-  const DMat cchk = cchk_block(bi, bk);
-  const Tolerance tol = opt_.tolerance;
-  KernelDesc cd{"verify_r", KernelClass::Compare, 4LL * blk.rows, 0};
-  const std::int64_t rflops = rd.flops;
-  m_.launch(s, cd, [this, blk, chk, cchk, tol, scratch, attr, bi, bk, rflops,
-                    iter] {
-    auto out = verify_block_rows(blk.view(), chk.view(),
-                                 ConstMatrixView<double>(scratch.view()),
-                                 tol);
-    // Mirror of the column path: re-derive the column checksums from
-    // the repaired data.
-    if (!out.corrections.empty()) {
-      encode_block(ConstMatrixView<double>(blk.view()), cchk.view());
-    }
-    tel_.block_verified(out, attr, iter, bi, bk, rflops, off(bi), blk.rows,
-                        off(bk), blk.cols);
-    absorb(out);
-  });
-}
-
-void LuRun::hook_storage(fault::Op op, int j) {
-  if (injector_ == nullptr) return;
-  for (const auto& spec :
-       injector_->take(fault::FaultType::Storage, op, j)) {
-    if (!m_.numeric()) continue;
-    int bi = spec.block_row;
-    int bk = spec.block_col;
-    // Defaults per LU context: the panel (Potf2), the U row (Trsm) or a
-    // trailing block (Gemm) that the op is about to read.
-    if (bi < 0) bi = op == fault::Op::Trsm ? j : std::min(j + 1, nb_ - 1);
-    if (bk < 0) bk = op == fault::Op::Potf2 ? j : std::min(j + 1, nb_ - 1);
-    FTLA_CHECK(bi >= 0 && bi < nb_ && bk >= 0 && bk < nb_);
-    const int grow = off(bi) + std::min(spec.elem_row, bs(bi) - 1);
-    const int gcol = off(bk) + std::min(spec.elem_col, bs(bk) - 1);
-    double* p = d_a_.data() + static_cast<std::int64_t>(gcol) * n_ + grow;
-    const double old_value = *p;
-    for (int bit : spec.bits) *p = flip_bit(*p, bit);
-    injector_->record(spec, old_value, *p, grow, gcol);
-  }
-}
-
-void LuRun::hook_computing(fault::Op op, int j) {
-  if (injector_ == nullptr) return;
-  for (const auto& spec :
-       injector_->take(fault::FaultType::Computing, op, j)) {
-    if (!m_.numeric()) continue;
-    int bi = spec.block_row;
-    int bk = spec.block_col;
-    if (bi < 0) bi = op == fault::Op::Trsm ? j : std::min(j + 1, nb_ - 1);
-    if (bk < 0) bk = op == fault::Op::Potf2 ? j : std::min(j + 1, nb_ - 1);
-    FTLA_CHECK(bi >= 0 && bi < nb_ && bk >= 0 && bk < nb_);
-    const int grow = off(bi) + std::min(spec.elem_row, bs(bi) - 1);
-    const int gcol = off(bk) + std::min(spec.elem_col, bs(bk) - 1);
-    double* p = d_a_.data() + static_cast<std::int64_t>(gcol) * n_ + grow;
-    const double old_value = *p;
-    *p = old_value + spec.magnitude * std::max(1.0, std::abs(old_value));
-    injector_->record(spec, old_value, *p, grow, gcol);
-  }
 }
 
 void LuRun::iterate(int j) {
@@ -501,7 +202,7 @@ void LuRun::iterate(int j) {
     // LU analog of the unrecoverable SYRK input (paper Opt 3 logic).
     std::vector<BlockId> in;
     for (int i = j; i < nb_; ++i) in.emplace_back(i, j);
-    verify_col_blocks(in, fault::Op::Potf2);
+    verify_batch(in, fault::Op::Potf2, Sums::Columns);
   }
   m_.memcpy_d2h_2d(m_.numeric() ? h_panel_.data() : nullptr, n_, d_a_,
                    static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
@@ -527,6 +228,12 @@ void LuRun::iterate(int j) {
       }
     });
   }
+  // The armed stochastic transfer faults strike these H2D return trips
+  // of the factored panel and its checksums; every landed corruption
+  // stays inconsistent with the separately shipped checksums, so the
+  // K-gated trailing verifications or the final sweep catch it. The D2H
+  // panel staging copy above has no arrival check yet and stays out of
+  // the armed surface (see docs/fault-model.md, residual exposures).
   m_.memcpy_h2d_2d(d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
                    m_.numeric() ? h_panel_.data() : nullptr, n_, below, jb,
                    s_compute_);
@@ -558,7 +265,7 @@ void LuRun::iterate(int j) {
       tel_.verify_skipped(fault::Op::Trsm,
                           static_cast<std::size_t>(nb_ - j - 1), j);
     }
-    verify_col_blocks(in, fault::Op::Trsm);
+    verify_batch(in, fault::Op::Trsm, Sums::Columns);
   }
   sim::gpublas::trsm(m_, s_compute_, Side::Left, Uplo::Lower, Trans::No,
                      Diag::Unit, 1.0, data_block(j, j),
@@ -596,10 +303,10 @@ void LuRun::iterate(int j) {
       const std::size_t t = static_cast<std::size_t>(nb_ - j - 1);
       tel_.verify_skipped(fault::Op::Gemm, t * t, j);
     }
-    verify_col_blocks(col_in, fault::Op::Gemm);
+    verify_batch(col_in, fault::Op::Gemm, Sums::Columns);
     std::vector<BlockId> row_in;
     for (int k = j + 1; k < nb_; ++k) row_in.emplace_back(j, k);  // U row
-    verify_row_blocks(row_in, fault::Op::Gemm);
+    verify_batch(row_in, fault::Op::Gemm, Sums::Rows);
   }
   sim::gpublas::gemm(m_, s_compute_, Trans::No, Trans::No, -1.0,
                      data_region(off(j) + jb, off(j), right, jb),
@@ -641,141 +348,15 @@ void LuRun::final_sweep() {
       }
     }
   }
-  verify_col_blocks(l_blocks, fault::Op::Potf2);
-  verify_row_blocks(u_blocks, fault::Op::Trsm);
+  verify_batch(l_blocks, fault::Op::Potf2, Sums::Columns);
+  verify_batch(u_blocks, fault::Op::Trsm, Sums::Rows);
 }
 
 // ----------------------------------------------------------------------
-// Task-graph (DAG) runtime path (docs/runtime.md)
-//
-// Same construction as the Cholesky driver: the graph is built in the
-// exact order the bulk path issues its machine operations, so the
-// executor's deterministic (priority, insertion) schedule replays bulk
-// program order and the numerics (and fault-hook firing points) are
-// bit-identical by design. Only virtual time changes: verify tasks
-// depend on their block's writers instead of fencing every stream, and
-// the final sweep over retired factor blocks overlaps the tail of the
-// factorization instead of running after it.
+// Task-graph (DAG) runtime path (docs/runtime.md): the same iteration
+// in bulk issue order, as dependency-inferred tasks (driver.cpp has the
+// construction rules).
 // ----------------------------------------------------------------------
-
-std::vector<StreamId> LuRun::dag_streams() const {
-  std::vector<StreamId> streams{s_compute_};
-  if (ft_) {
-    streams.push_back(s_chk_);
-    streams.insert(streams.end(), s_recalc_.begin(), s_recalc_.end());
-  }
-  return streams;
-}
-
-void LuRun::dag_hook(runtime::TaskGraph& g, const char* name, int iter,
-                     std::function<void()> fn) {
-  // Fault hooks consume injector state at a fixed program point; an
-  // empty footprint keeps them out of the dependency structure while
-  // insertion order fixes *when* they fire.
-  if (injector_ == nullptr) return;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Base;
-  opts.iteration = iter;
-  opts.where = runtime::Where::Inline;
-  g.add_task(name, {},
-             [fn = std::move(fn)](const runtime::TaskContext&) { fn(); },
-             opts);
-}
-
-void LuRun::dag_col_verify(runtime::TaskGraph& g, int bi, int bk,
-                           fault::Op attr, int iter) {
-  if (!ft_) return;
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += 1; break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += 1; break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += 1; break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += 1; break;
-  }
-  tel_.verify_scheduled(attr, 1);
-  const std::int64_t nslots = scratch_capacity_ / (2 * b_);
-  const int slot = static_cast<int>(dag_slot_++ % nslots);
-  const std::int64_t pos = static_cast<std::int64_t>(slot) * 2 * b_;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Verify;
-  opts.iteration = iter;
-  // Corrections through the column side re-derive the row checksums,
-  // so both checksum tiles are read-write.
-  g.add_task(
-      "verify_c",
-      {runtime::rw(dtile(bi, bk)), runtime::rw(cctile(bi, bk)),
-       runtime::rw(rctile(bi, bk)), runtime::write(stile(slot))},
-      [this, bi, bk, attr, pos, slot, iter](const runtime::TaskContext& c) {
-        c.tiles.rw(dtile(bi, bk));
-        c.tiles.rw(cctile(bi, bk));
-        c.tiles.rw(rctile(bi, bk));
-        c.tiles.write(stile(slot));
-        issue_col_verify(c.stream, bi, bk, attr, pos, iter);
-      },
-      opts);
-}
-
-void LuRun::dag_row_verify(runtime::TaskGraph& g, int bi, int bk,
-                           fault::Op attr, int iter) {
-  if (!ft_) return;
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += 1; break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += 1; break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += 1; break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += 1; break;
-  }
-  tel_.verify_scheduled(attr, 1);
-  const std::int64_t nslots = scratch_capacity_ / (2 * b_);
-  const int slot = static_cast<int>(dag_slot_++ % nslots);
-  const std::int64_t pos = static_cast<std::int64_t>(slot) * 2 * b_;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Verify;
-  opts.iteration = iter;
-  g.add_task(
-      "verify_r",
-      {runtime::rw(dtile(bi, bk)), runtime::rw(cctile(bi, bk)),
-       runtime::rw(rctile(bi, bk)), runtime::write(stile(slot))},
-      [this, bi, bk, attr, pos, slot, iter](const runtime::TaskContext& c) {
-        c.tiles.rw(dtile(bi, bk));
-        c.tiles.rw(cctile(bi, bk));
-        c.tiles.rw(rctile(bi, bk));
-        c.tiles.write(stile(slot));
-        issue_row_verify(c.stream, bi, bk, attr, pos, iter);
-      },
-      opts);
-}
-
-void LuRun::dag_encode(runtime::TaskGraph& g) {
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Encode;
-  for (int k = 0; k < nb_; ++k) {
-    for (int i = 0; i < nb_; ++i) {
-      const DMat blk = data_block(i, k);
-      const DMat cchk = cchk_block(i, k);
-      const DMat rchk = rchk_block(i, k);
-      g.add_task("encode",
-                 {runtime::read(dtile(i, k)), runtime::write(cctile(i, k)),
-                  runtime::write(rctile(i, k))},
-                 [this, blk, cchk, rchk, i, k](const runtime::TaskContext& c) {
-                   c.tiles.read(dtile(i, k));
-                   c.tiles.write(cctile(i, k));
-                   c.tiles.write(rctile(i, k));
-                   KernelDesc dc{"encode_c", KernelClass::Blas2,
-                                 blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-                   m_.launch(c.stream, dc, [blk, cchk] {
-                     encode_block(ConstMatrixView<double>(blk.view()),
-                                  cchk.view());
-                   });
-                   KernelDesc dr{"encode_r", KernelClass::Blas2,
-                                 blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-                   m_.launch(c.stream, dr, [blk, rchk] {
-                     encode_block_rows(ConstMatrixView<double>(blk.view()),
-                                       rchk.view());
-                   });
-                 },
-                 opts);
-    }
-  }
-}
 
 void LuRun::dag_iteration(runtime::TaskGraph& g, int j) {
   const int jb = bs(j);
@@ -798,7 +379,7 @@ void LuRun::dag_iteration(runtime::TaskGraph& g, int j) {
   if (ft_) {
     // Panel inputs are always verified (see the bulk path).
     for (int i = j; i < nb_; ++i)
-      dag_col_verify(g, i, j, fault::Op::Potf2, j);
+      dag_verify(g, i, j, fault::Op::Potf2, j, Sums::Columns);
   }
   {
     std::vector<runtime::Footprint> fp;
@@ -881,10 +462,10 @@ void LuRun::dag_iteration(runtime::TaskGraph& g, int j) {
   dag_hook(g, "hook_storage_trsm", j,
            [this, j] { hook_storage(fault::Op::Trsm, j); });
   if (ft_) {
-    dag_col_verify(g, j, j, fault::Op::Trsm, j);
+    dag_verify(g, j, j, fault::Op::Trsm, j, Sums::Columns);
     if (verify_this_iter) {
       for (int k = j + 1; k < nb_; ++k)
-        dag_col_verify(g, j, k, fault::Op::Trsm, j);
+        dag_verify(g, j, k, fault::Op::Trsm, j, Sums::Columns);
     } else {
       tel_.verify_skipped(fault::Op::Trsm,
                           static_cast<std::size_t>(nb_ - j - 1), j);
@@ -935,14 +516,14 @@ void LuRun::dag_iteration(runtime::TaskGraph& g, int j) {
       tel_.verify_skipped(fault::Op::Gemm, t * t, j);
     }
     for (int i = j + 1; i < nb_; ++i)
-      dag_col_verify(g, i, j, fault::Op::Gemm, j);  // L panel
+      dag_verify(g, i, j, fault::Op::Gemm, j, Sums::Columns);  // L panel
     if (verify_this_iter) {
       for (int i = j + 1; i < nb_; ++i)
         for (int k = j + 1; k < nb_; ++k)
-          dag_col_verify(g, i, k, fault::Op::Gemm, j);
+          dag_verify(g, i, k, fault::Op::Gemm, j, Sums::Columns);
     }
     for (int k = j + 1; k < nb_; ++k)
-      dag_row_verify(g, j, k, fault::Op::Gemm, j);  // U row
+      dag_verify(g, j, k, fault::Op::Gemm, j, Sums::Rows);  // U row
   }
   {
     std::vector<runtime::Footprint> fp;
@@ -1035,40 +616,10 @@ void LuRun::dag_sweep(runtime::TaskGraph& g) {
   // swept while the factorization tail still runs.
   for (int k = 0; k < nb_; ++k)
     for (int i = k; i < nb_; ++i)
-      dag_col_verify(g, i, k, fault::Op::Potf2, -1);
+      dag_verify(g, i, k, fault::Op::Potf2, -1, Sums::Columns);
   for (int k = 0; k < nb_; ++k)
     for (int i = 0; i < k; ++i)
-      dag_row_verify(g, i, k, fault::Op::Trsm, -1);
-}
-
-void LuRun::run_once_dag() {
-  dag_slot_ = 0;
-  runtime::TaskGraph g;
-  if (ft_) dag_encode(g);
-  for (int j = 0; j < nb_; ++j) {
-    cur_iter_ = j;
-    dag_iteration(g, j);
-  }
-  if (ft_) {
-    cur_iter_ = -1;
-    dag_sweep(g);
-  }
-  // Opt-in dynamic footprint sanitizer (docs/static-analysis.md).
-  runtime::AccessTracker tracker;
-  const bool sanitize = runtime::sanitize_env_enabled();
-  if (sanitize) g.set_access_tracker(&tracker);
-  // Same transfer-fault arming as the bulk path.
-  sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
-  runtime::StreamRunOptions ropts;
-  ropts.streams = dag_streams();
-  ropts.profile = tel_.profile();
-  ropts.metrics = opt_.metrics;
-  ropts.schedule_seed = opt_.dag_schedule_seed;
-  runtime::run_on_streams(g, m_, ropts);
-  m_.sync_all();
-  if (sanitize && !tracker.clean()) {
-    throw Error("lu DAG failed footprint sanitizing\n" + tracker.report(g));
-  }
+      dag_verify(g, i, k, fault::Op::Trsm, -1, Sums::Rows);
 }
 
 }  // namespace

@@ -40,27 +40,8 @@
 
 namespace ftla::abft {
 
-struct LuOptions {
-  /// NoFt or EnhancedOnline (the extension supports exactly these two).
-  Variant variant = Variant::EnhancedOnline;
-  int block_size = 0;        ///< 0 = machine profile default
-  int verify_interval = 1;   ///< Opt 3 on the trailing-update inputs
-  bool concurrent_recalc = true;  ///< Opt 1
-  int recalc_streams = 0;
-  Tolerance tolerance{};
-  int max_reruns = 2;
-
-  /// Execution structure — see CholeskyOptions::runtime.
-  RuntimeMode runtime = RuntimeMode::Bulk;
-  /// Seeded random DAG issue order — see CholeskyOptions.
-  std::uint64_t dag_schedule_seed = 0;
-
-  /// Observability hooks (optional, not owned) — see CholeskyOptions.
-  obs::EventSink* event_sink = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::SpanStore* profile = nullptr;
-  obs::TimeSeriesStore* timeseries = nullptr;
-};
+/// LU takes the shared driver options as they are.
+using LuOptions = FactorOptions;
 
 /// Factorizes `*a` in place into packed L\U (unit-lower L below the
 /// diagonal, U on and above). Same Numeric/TimingOnly contract as

@@ -96,25 +96,28 @@ struct PanelCheckpoint {
   }
 };
 
-struct CholeskyOptions {
+/// Options every factorization driver (Cholesky, LU, QR) reads. LU and
+/// QR take exactly these (LuOptions / QrOptions); CholeskyOptions adds
+/// the Cholesky-only knobs on top.
+struct FactorOptions {
+  /// Fault-tolerance scheme. The LU and QR extensions implement NoFt
+  /// and EnhancedOnline only.
   Variant variant = Variant::EnhancedOnline;
 
   /// Block size B; 0 selects the machine profile's MAGMA default.
   int block_size = 0;
 
-  /// Opt 3: verify GEMM/TRSM inputs only every K-th outer iteration.
-  /// SYRK inputs are always verified (errors entering the diagonal block
-  /// are unrecoverable). K = 1 verifies everything every iteration.
+  /// Opt 3: verify the K-gated operation inputs only every K-th outer
+  /// iteration (Cholesky: GEMM/TRSM inputs; LU/QR: trailing-update
+  /// targets). Inputs whose corruption would propagate undetectably
+  /// are always verified. K = 1 verifies everything every iteration.
   int verify_interval = 1;
 
   /// Opt 1: run checksum-recalculation kernels concurrently on multiple
-  /// streams. When false, they serialize on the compute stream.
+  /// streams. When false, they serialize on one stream.
   bool concurrent_recalc = true;
   /// Number of recalc streams; 0 = the device concurrent-kernel limit.
   int recalc_streams = 0;
-
-  /// Opt 2: placement of checksum updating.
-  UpdatePlacement placement = UpdatePlacement::Auto;
 
   /// Detection tolerance used by every verification.
   Tolerance tolerance{};
@@ -131,23 +134,6 @@ struct CholeskyOptions {
   /// TaskGraph::random_schedule. The schedule-permutation fuzzer's
   /// knob — numerics are bit-identical for every seed.
   std::uint64_t dag_schedule_seed = 0;
-
-  /// Recovery strategy on unrecoverable corruption.
-  Recovery recovery = Recovery::Rerun;
-  /// Iterations between device snapshots (Recovery::Checkpoint).
-  int checkpoint_interval = 8;
-  /// Rollback budget before escalating to a full rerun.
-  int max_rollbacks = 8;
-
-  /// Transfer-fault hardening (fault campaigns; off by default so the
-  /// verification counts of the paper's Table I are unchanged). Adds
-  /// two verifications per run path that close the PCIe windows the
-  /// in-loop scheme cannot see: an arrival check of the diagonal block
-  /// (and its checksum rows) on the host after the D2H staging copy and
-  /// before POTF2 consumes it, and — on the last block column, where no
-  /// TRSM re-reads the factor block — one device-side verification
-  /// after the factor's return H2D copy.
-  bool transfer_guard = false;
 
   /// Observability hooks (optional, not owned). When set, the driver
   /// emits structured telemetry events (verifications, detections,
@@ -168,6 +154,28 @@ struct CholeskyOptions {
   /// virtual time into it (docs/observability.md, "Analytics &
   /// postmortems").
   obs::TimeSeriesStore* timeseries = nullptr;
+};
+
+struct CholeskyOptions : FactorOptions {
+  /// Opt 2: placement of checksum updating.
+  UpdatePlacement placement = UpdatePlacement::Auto;
+
+  /// Recovery strategy on unrecoverable corruption.
+  Recovery recovery = Recovery::Rerun;
+  /// Iterations between device snapshots (Recovery::Checkpoint).
+  int checkpoint_interval = 8;
+  /// Rollback budget before escalating to a full rerun.
+  int max_rollbacks = 8;
+
+  /// Transfer-fault hardening (fault campaigns; off by default so the
+  /// verification counts of the paper's Table I are unchanged). Adds
+  /// two verifications per run path that close the PCIe windows the
+  /// in-loop scheme cannot see: an arrival check of the diagonal block
+  /// (and its checksum rows) on the host after the D2H staging copy and
+  /// before POTF2 consumes it, and — on the last block column, where no
+  /// TRSM re-reads the factor block — one device-side verification
+  /// after the factor's return H2D copy.
+  bool transfer_guard = false;
 
   /// Causal-trace store + context (optional, not owned). With both set,
   /// the driver records a "factorize" span under trace_ctx.span_id,

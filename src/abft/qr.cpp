@@ -1,19 +1,12 @@
 #include "abft/qr.hpp"
 
-#include "abft/telemetry.hpp"
-
 #include <algorithm>
-#include <cmath>
-#include <functional>
-#include <utility>
 #include <vector>
 
+#include "abft/driver.hpp"
 #include "blas/qr.hpp"
 #include "blas/types.hpp"
 #include "common/error.hpp"
-#include "common/fp.hpp"
-#include "runtime/executor.hpp"
-#include "runtime/sanitizer.hpp"
 #include "sim/device_matrix.hpp"
 #include "sim/machine.hpp"
 
@@ -29,44 +22,29 @@ using sim::StreamId;
 
 namespace {
 
-using BlockId = std::pair<int, int>;
+using detail::BlockId;
+using detail::Sums;
 
-class QrRun {
+constexpr const char* kUncorrectable = "more than one error per block row";
+
+class QrRun final : public detail::Driver {
  public:
   QrRun(Machine& m, Matrix<double>* a, std::vector<double>* tau, int n,
         const QrOptions& opt, fault::Injector* injector)
-      : m_(m), a_(a), tau_(tau), n_(n), opt_(opt), injector_(injector),
-        tel_(m, opt.event_sink, opt.metrics, injector, opt.profile,
-             opt.timeseries) {
-    FTLA_CHECK(n_ > 0);
+      : Driver(m, a, n, opt, injector, Ladder::AnyError, "qr",
+               // Householder QR (Q not formed): 4n^3/3 flops.
+               4.0 * n * static_cast<double>(n) * n / 3.0),
+        tau_(tau) {
     FTLA_CHECK_MSG(opt_.variant == Variant::NoFt ||
                        opt_.variant == Variant::EnhancedOnline,
                    "the QR extension implements NoFt and EnhancedOnline");
     if (m_.numeric()) {
-      FTLA_CHECK(a_ != nullptr && a_->rows() == n_ && a_->cols() == n_);
       FTLA_CHECK(tau_ != nullptr);
       tau_->assign(static_cast<std::size_t>(n_), 0.0);
     }
-    FTLA_CHECK(injector_ == nullptr || m_.numeric());
-    b_ = opt_.block_size > 0 ? opt_.block_size
-                             : m_.profile().magma_block_size;
-    nb_ = (n_ + b_ - 1) / b_;
-    ft_ = opt_.variant == Variant::EnhancedOnline;
   }
-
-  CholeskyResult execute();
 
  private:
-  [[nodiscard]] int bs(int i) const { return std::min(b_, n_ - i * b_); }
-  [[nodiscard]] int off(int i) const { return i * b_; }
-
-  [[nodiscard]] DMat data_region(int row, int col, int rows, int cols) {
-    return DMat{&d_a_, static_cast<std::int64_t>(col) * n_ + row, rows, cols,
-                n_};
-  }
-  [[nodiscard]] DMat data_block(int i, int k) {
-    return data_region(off(i), off(k), bs(i), bs(k));
-  }
   [[nodiscard]] DMat rchk_block(int i, int k) {
     return DMat{&d_rchk_, static_cast<std::int64_t>(2 * k) * n_ + off(i),
                 bs(i), kChecksumRows, n_};
@@ -76,129 +54,54 @@ class QrRun {
                 2 * (k1 - k0), n_};
   }
 
-  void allocate();
-  void upload();
-  void encode();
-  void run_once();
-  void iterate(int j);
-  void final_sweep();
-  void verify_row_blocks(const std::vector<BlockId>& blocks, fault::Op attr);
-  /// Recalc + compare launches for one block on one stream. Shared by
-  /// the bulk batches and the DAG verify tasks so both runtimes issue
-  /// identical kernels.
-  void issue_row_verify(StreamId s, int bi, int bk, fault::Op attr,
-                        std::int64_t pos, int iter);
-  void absorb(const VerifyOutcome& out);
-  void hook_storage(fault::Op op, int j);
-  void hook_computing(fault::Op op, int j);
+  void allocate() override;
+  void download() override;
+  void iterate(int j) override;
+  void final_sweep() override;
+  void dag_iteration(runtime::TaskGraph& g, int j) override;
+  void dag_sweep(runtime::TaskGraph& g) override;
 
-  // ---- task-graph (DAG) runtime path (docs/runtime.md) ----
-  [[nodiscard]] bool use_dag() const {
-    return opt_.runtime == RuntimeMode::Dag;
+  [[nodiscard]] std::vector<runtime::TileKey> chk_tiles(
+      int i, int k) const override {
+    return {rctile(i, k)};
   }
-  void run_once_dag();
-  void dag_encode(runtime::TaskGraph& g);
-  void dag_iteration(runtime::TaskGraph& g, int j);
-  void dag_sweep(runtime::TaskGraph& g);
-  void dag_verify(runtime::TaskGraph& g, int bi, int bk, fault::Op attr,
-                  int iter);
-  void dag_hook(runtime::TaskGraph& g, const char* name, int iter,
-                std::function<void()> fn);
-  [[nodiscard]] std::vector<StreamId> dag_streams() const;
+  void issue_encode(StreamId s, int i, int k) override;
+  /// Recalc + compare launches for one block against its row checksums
+  /// (the only flavor QR maintains).
+  void issue_verify(Sums sums, StreamId s, int bi, int bk, fault::Op attr,
+                    std::int64_t pos, int iter) override;
+  [[nodiscard]] const char* verify_task_name(Sums /*sums*/) const override {
+    return "verify_r";
+  }
+  /// Defaults: the panel (Potf2) or the V/T staging window (Trsm) of
+  /// block column j, else the trailing block column; rows below j.
+  [[nodiscard]] BlockId strike_target(const fault::FaultSpec& spec,
+                                      int j) const override {
+    const int next = std::min(j + 1, nb_ - 1);
+    const bool panel =
+        spec.op == fault::Op::Potf2 || spec.op == fault::Op::Trsm;
+    return {spec.block_row >= 0 ? spec.block_row : next,
+            spec.block_col >= 0 ? spec.block_col : (panel ? j : next)};
+  }
 
-  /// Tile namespaces for dependency inference: data blocks, row
-  /// checksums, the device T factor, host staging, scratch slots.
-  enum TileSpace : int {
-    kTileData = 0,
-    kTileRchk,
-    kTileT,
-    kTileHost,
-    kTileScratch
-  };
-  [[nodiscard]] static runtime::TileKey dtile(int i, int k) {
-    return {kTileData, i, k};
-  }
+  /// Tile namespaces beyond the shared ones: row checksums and the
+  /// device T factor.
+  enum QrTile : int { kTileRchk = kTileDriver, kTileT };
   [[nodiscard]] static runtime::TileKey rctile(int i, int k) {
     return {kTileRchk, i, k};
   }
   [[nodiscard]] static runtime::TileKey ttile() { return {kTileT, 0, 0}; }
-  [[nodiscard]] static runtime::TileKey htile() { return {kTileHost, 0, 0}; }
-  [[nodiscard]] static runtime::TileKey stile(int slot) {
-    return {kTileScratch, slot, 0};
-  }
-  std::int64_t dag_slot_ = 0;  ///< round-robin scratch-slot cursor
 
-  Machine& m_;
-  Matrix<double>* a_;
   std::vector<double>* tau_;
-  int n_;
-  QrOptions opt_;
-  fault::Injector* injector_;
-  Telemetry tel_;
-  int cur_iter_ = -1;  ///< telemetry iteration; -1 outside the j-loop
 
-  int b_ = 0;
-  int nb_ = 0;
-  bool ft_ = false;
-
-  DeviceBuffer d_a_;
   DeviceBuffer d_rchk_;  // row checksums, n x 2nb
   DeviceBuffer d_t_;     // the block reflector factor T (b x b)
-  DeviceBuffer d_scratch_;
-  std::int64_t scratch_capacity_ = 0;
 
-  Matrix<double> pristine_;
   Matrix<double> h_panel_;      // host panel (n x b)
   Matrix<double> h_t_;          // host T (b x b)
   Matrix<double> h_panel_chk_;  // re-encoded panel row checksums (n x 2)
   std::vector<double> h_tau_;
-
-  StreamId s_compute_ = 0;
-  StreamId s_chk_ = 0;
-  std::vector<StreamId> s_recalc_;
-
-  CholeskyResult result_;
 };
-
-CholeskyResult QrRun::execute() {
-  allocate();
-  upload();
-  m_.sync_all();
-  const double t0 = m_.host_now();
-
-  bool done = false;
-  while (!done) {
-    try {
-      run_once();
-      done = true;
-      result_.success = true;
-    } catch (const Error& e) {
-      if (!ft_ || result_.reruns >= opt_.max_reruns) {
-        result_.note = e.what();
-        done = true;
-      } else {
-        ++result_.reruns;
-        tel_.rerun(result_.reruns, e.what());
-        const obs::PhaseScope recover(tel_.profile(), obs::Phase::Recover);
-        upload();
-      }
-    }
-  }
-
-  m_.sync_all();
-  result_.seconds = m_.host_now() - t0;
-  // Householder QR (Q not formed): 4n^3/3 flops.
-  const double flops = 4.0 * n_ * static_cast<double>(n_) * n_ / 3.0;
-  result_.gflops =
-      result_.seconds > 0.0 ? flops / result_.seconds / 1e9 : 0.0;
-
-  if (result_.success && m_.numeric()) {
-    m_.memcpy_d2h(a_->data(), d_a_, 0, static_cast<std::int64_t>(n_) * n_,
-                  s_compute_, /*blocking=*/true);
-    *tau_ = h_tau_;
-  }
-  return result_;
-}
 
 void QrRun::allocate() {
   d_a_ = m_.alloc(static_cast<std::int64_t>(n_) * n_);
@@ -213,114 +116,27 @@ void QrRun::allocate() {
   h_panel_ = Matrix<double>(n_, b_);
   h_t_ = Matrix<double>(b_, b_);
   h_tau_.assign(static_cast<std::size_t>(n_), 0.0);
-  if (m_.numeric()) pristine_ = *a_;
-
-  s_compute_ = m_.default_stream();
-  if (ft_) {
-    s_chk_ = m_.create_stream();
-    int streams = opt_.recalc_streams > 0
-                      ? opt_.recalc_streams
-                      : m_.profile().max_concurrent_kernels;
-    if (!opt_.concurrent_recalc) streams = 1;
-    for (int i = 0; i < streams; ++i) s_recalc_.push_back(m_.create_stream());
-  }
+  create_streams(/*xfer_lane=*/false);
 }
 
-void QrRun::upload() {
-  m_.memcpy_h2d(d_a_, 0, m_.numeric() ? pristine_.data() : nullptr,
-                static_cast<std::int64_t>(n_) * n_, s_compute_,
-                /*blocking=*/true);
+void QrRun::download() {
+  Driver::download();
+  if (m_.numeric()) *tau_ = h_tau_;
 }
 
-void QrRun::encode() {
-  if (!ft_) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Encode);
-  const EventId e_up = m_.record_event(s_compute_);
-  for (StreamId s : s_recalc_) m_.stream_wait_event(s, e_up);
-  int q = 0;
-  for (int k = 0; k < nb_; ++k) {
-    for (int i = 0; i < nb_; ++i) {
-      const StreamId s = s_recalc_[q++ % s_recalc_.size()];
-      const DMat blk = data_block(i, k);
-      const DMat chk = rchk_block(i, k);
-      KernelDesc d{"encode_r", KernelClass::Blas2,
-                   blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-      m_.launch(s, d, [blk, chk] {
-        encode_block_rows(ConstMatrixView<double>(blk.view()), chk.view());
-      });
-    }
-  }
-  for (StreamId s : s_recalc_) {
-    const EventId e = m_.record_event(s);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(s_chk_, e);
-  }
+void QrRun::issue_encode(StreamId s, int i, int k) {
+  const DMat blk = data_block(i, k);
+  const DMat chk = rchk_block(i, k);
+  KernelDesc d{"encode_r", KernelClass::Blas2,
+               blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
+  m_.launch(s, d, [blk, chk] {
+    encode_block_rows(ConstMatrixView<double>(blk.view()), chk.view());
+  });
 }
 
-void QrRun::run_once() {
-  if (use_dag()) {
-    run_once_dag();
-    return;
-  }
-  encode();
-  // Stochastic transfer faults cover the armed H2D copies (factored
-  // panel, row checksums): V is always verified before LARFB consumes
-  // it and checksum strikes surface as repairs, so nothing lands
-  // silently. The T factor's copy stays excluded — T carries no
-  // checksums, and a corrupted T would update data and checksum strips
-  // identically, i.e. invisibly (the documented exposure above).
-  sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
-  for (int j = 0; j < nb_; ++j) iterate(j);
-  if (ft_) final_sweep();
-  m_.sync_all();
-}
-
-void QrRun::absorb(const VerifyOutcome& out) {
-  result_.errors_detected += out.errors_detected;
-  result_.errors_corrected += out.errors_corrected;
-  result_.checksum_repairs += out.checksum_repairs;
-  if (out.uncorrectable) {
-    throw UnrecoverableCorruptionError("more than one error per block row");
-  }
-}
-
-void QrRun::verify_row_blocks(const std::vector<BlockId>& blocks,
-                              fault::Op attr) {
-  if (!ft_ || blocks.empty()) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Verify);
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += blocks.size(); break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += blocks.size(); break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += blocks.size(); break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += blocks.size(); break;
-  }
-  tel_.verify_scheduled(attr, blocks.size());
-  const EventId e_comp = m_.record_event(s_compute_);
-  const EventId e_chk = m_.record_event(s_chk_);
-  const int nstreams = std::max(
-      1, std::min(static_cast<int>(s_recalc_.size()),
-                  static_cast<int>(blocks.size())));
-  for (int i = 0; i < nstreams; ++i) {
-    m_.stream_wait_event(s_recalc_[i], e_comp);
-    m_.stream_wait_event(s_recalc_[i], e_chk);
-  }
-  std::int64_t pos = 0;
-  for (std::size_t q = 0; q < blocks.size(); ++q) {
-    const auto [bi, bk] = blocks[q];
-    issue_row_verify(s_recalc_[q % nstreams], bi, bk, attr, pos, cur_iter_);
-    pos += 2LL * bs(bi);
-  }
-  for (int i = 0; i < nstreams; ++i) {
-    const EventId e = m_.record_event(s_recalc_[i]);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(s_chk_, e);
-  }
-}
-
-void QrRun::issue_row_verify(StreamId s, int bi, int bk, fault::Op attr,
-                             std::int64_t pos, int iter) {
+void QrRun::issue_verify(Sums /*sums*/, StreamId s, int bi, int bk,
+                         fault::Op attr, std::int64_t pos, int iter) {
   const DMat blk = data_block(bi, bk);
-  FTLA_CHECK(pos + 2LL * blk.rows <= scratch_capacity_);
   const DMat scratch{&d_scratch_, pos, blk.rows, kChecksumRows, blk.rows};
   KernelDesc rd{"recalc_r", KernelClass::Blas2,
                 blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
@@ -338,48 +154,8 @@ void QrRun::issue_row_verify(StreamId s, int bi, int bk, fault::Op attr,
                           ConstMatrixView<double>(scratch.view()), tol);
     tel_.block_verified(out, attr, iter, bi, bk, rflops, off(bi), blk.rows,
                         off(bk), blk.cols);
-    absorb(out);
+    absorb(out, kUncorrectable);
   });
-}
-
-void QrRun::hook_storage(fault::Op op, int j) {
-  if (injector_ == nullptr) return;
-  for (const auto& spec :
-       injector_->take(fault::FaultType::Storage, op, j)) {
-    if (!m_.numeric()) continue;
-    int bi = spec.block_row;
-    int bk = spec.block_col;
-    if (bi < 0) bi = std::min(j + 1, nb_ - 1);
-    if (bk < 0) bk = op == fault::Op::Potf2 || op == fault::Op::Trsm
-                         ? j
-                         : std::min(j + 1, nb_ - 1);
-    FTLA_CHECK(bi >= 0 && bi < nb_ && bk >= 0 && bk < nb_);
-    const int grow = off(bi) + std::min(spec.elem_row, bs(bi) - 1);
-    const int gcol = off(bk) + std::min(spec.elem_col, bs(bk) - 1);
-    double* p = d_a_.data() + static_cast<std::int64_t>(gcol) * n_ + grow;
-    const double old_value = *p;
-    for (int bit : spec.bits) *p = flip_bit(*p, bit);
-    injector_->record(spec, old_value, *p, grow, gcol);
-  }
-}
-
-void QrRun::hook_computing(fault::Op op, int j) {
-  if (injector_ == nullptr) return;
-  for (const auto& spec :
-       injector_->take(fault::FaultType::Computing, op, j)) {
-    if (!m_.numeric()) continue;
-    int bi = spec.block_row;
-    int bk = spec.block_col;
-    if (bi < 0) bi = std::min(j + 1, nb_ - 1);
-    if (bk < 0) bk = op == fault::Op::Potf2 ? j : std::min(j + 1, nb_ - 1);
-    FTLA_CHECK(bi >= 0 && bi < nb_ && bk >= 0 && bk < nb_);
-    const int grow = off(bi) + std::min(spec.elem_row, bs(bi) - 1);
-    const int gcol = off(bk) + std::min(spec.elem_col, bs(bk) - 1);
-    double* p = d_a_.data() + static_cast<std::int64_t>(gcol) * n_ + grow;
-    const double old_value = *p;
-    *p = old_value + spec.magnitude * std::max(1.0, std::abs(old_value));
-    injector_->record(spec, old_value, *p, grow, gcol);
-  }
 }
 
 void QrRun::iterate(int j) {
@@ -395,7 +171,7 @@ void QrRun::iterate(int j) {
   if (ft_) {
     std::vector<BlockId> in;
     for (int i = j; i < nb_; ++i) in.emplace_back(i, j);
-    verify_row_blocks(in, fault::Op::Potf2);
+    verify_batch(in, fault::Op::Potf2, Sums::Rows);
   }
   m_.memcpy_d2h_2d(m_.numeric() ? h_panel_.data() : nullptr, n_, d_a_,
                    static_cast<std::int64_t>(off(j)) * n_ + off(j), n_, mrem,
@@ -423,6 +199,9 @@ void QrRun::iterate(int j) {
       }
     });
   }
+  // The armed stochastic transfer faults strike the factored panel and
+  // row-checksum copies: V is always verified before LARFB consumes it
+  // and checksum strikes surface as repairs, so nothing lands silently.
   m_.memcpy_h2d_2d(d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
                    m_.numeric() ? h_panel_.data() : nullptr, n_, mrem, jb,
                    s_compute_);
@@ -454,12 +233,12 @@ void QrRun::iterate(int j) {
     // consistently-wrong (hence invisible) update.
     std::vector<BlockId> v_in;
     for (int i = j; i < nb_; ++i) v_in.emplace_back(i, j);
-    verify_row_blocks(v_in, fault::Op::Trsm);
+    verify_batch(v_in, fault::Op::Trsm, Sums::Rows);
     if (verify_this_iter) {
       std::vector<BlockId> c_in;
       for (int i = j; i < nb_; ++i)
         for (int k = j + 1; k < nb_; ++k) c_in.emplace_back(i, k);
-      verify_row_blocks(c_in, fault::Op::Gemm);
+      verify_batch(c_in, fault::Op::Gemm, Sums::Rows);
     } else {
       // Opt 3: trailing-block verification skipped this iteration.
       tel_.verify_skipped(fault::Op::Gemm,
@@ -502,98 +281,17 @@ void QrRun::final_sweep() {
   std::vector<BlockId> all;
   for (int k = 0; k < nb_; ++k)
     for (int i = 0; i < nb_; ++i) all.emplace_back(i, k);
-  verify_row_blocks(all, fault::Op::Trsm);
+  verify_batch(all, fault::Op::Trsm, Sums::Rows);
 }
 
 // ----------------------------------------------------------------------
-// Task-graph (DAG) runtime path (docs/runtime.md)
-//
-// Same construction as the Cholesky and LU drivers: the graph is built
-// in exact bulk issue order, so the deterministic schedule replays bulk
-// program order and the numerics (including tau) are bit-identical.
-// The timing win comes from dropping the bulk verify-batch barriers and
-// from the final sweep overlapping the factorization tail. The block
-// reflector's T factor is a real tile here: LARFB tasks read it, the
-// next panel's staging copy overwrites it, and the inferred WAR edge
-// keeps the overlap sound.
+// Task-graph (DAG) runtime path (docs/runtime.md): the same iteration
+// in bulk issue order (driver.cpp has the construction rules), so the
+// numerics — tau included — are bit-identical. The block reflector's T
+// factor is a real tile here: LARFB tasks read it, the next panel's
+// staging copy overwrites it, and the inferred WAR edge keeps the
+// overlap sound.
 // ----------------------------------------------------------------------
-
-std::vector<StreamId> QrRun::dag_streams() const {
-  std::vector<StreamId> streams{s_compute_};
-  if (ft_) {
-    streams.push_back(s_chk_);
-    streams.insert(streams.end(), s_recalc_.begin(), s_recalc_.end());
-  }
-  return streams;
-}
-
-void QrRun::dag_hook(runtime::TaskGraph& g, const char* name, int iter,
-                     std::function<void()> fn) {
-  // Fault hooks consume injector state at a fixed program point; an
-  // empty footprint keeps them out of the dependency structure while
-  // insertion order fixes *when* they fire.
-  if (injector_ == nullptr) return;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Base;
-  opts.iteration = iter;
-  opts.where = runtime::Where::Inline;
-  g.add_task(name, {},
-             [fn = std::move(fn)](const runtime::TaskContext&) { fn(); },
-             opts);
-}
-
-void QrRun::dag_verify(runtime::TaskGraph& g, int bi, int bk, fault::Op attr,
-                       int iter) {
-  if (!ft_) return;
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += 1; break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += 1; break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += 1; break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += 1; break;
-  }
-  tel_.verify_scheduled(attr, 1);
-  const std::int64_t nslots = scratch_capacity_ / (2 * b_);
-  const int slot = static_cast<int>(dag_slot_++ % nslots);
-  const std::int64_t pos = static_cast<std::int64_t>(slot) * 2 * b_;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Verify;
-  opts.iteration = iter;
-  g.add_task(
-      "verify_r",
-      {runtime::rw(dtile(bi, bk)), runtime::rw(rctile(bi, bk)),
-       runtime::write(stile(slot))},
-      [this, bi, bk, attr, pos, slot, iter](const runtime::TaskContext& c) {
-        c.tiles.rw(dtile(bi, bk));
-        c.tiles.rw(rctile(bi, bk));
-        c.tiles.write(stile(slot));
-        issue_row_verify(c.stream, bi, bk, attr, pos, iter);
-      },
-      opts);
-}
-
-void QrRun::dag_encode(runtime::TaskGraph& g) {
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Encode;
-  for (int k = 0; k < nb_; ++k) {
-    for (int i = 0; i < nb_; ++i) {
-      const DMat blk = data_block(i, k);
-      const DMat chk = rchk_block(i, k);
-      g.add_task("encode",
-                 {runtime::read(dtile(i, k)), runtime::write(rctile(i, k))},
-                 [this, blk, chk, i, k](const runtime::TaskContext& c) {
-                   c.tiles.read(dtile(i, k));
-                   c.tiles.write(rctile(i, k));
-                   KernelDesc d{"encode_r", KernelClass::Blas2,
-                                blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-                   m_.launch(c.stream, d, [blk, chk] {
-                     encode_block_rows(ConstMatrixView<double>(blk.view()),
-                                       chk.view());
-                   });
-                 },
-                 opts);
-    }
-  }
-}
 
 void QrRun::dag_iteration(runtime::TaskGraph& g, int j) {
   const int jb = bs(j);
@@ -614,7 +312,8 @@ void QrRun::dag_iteration(runtime::TaskGraph& g, int j) {
   dag_hook(g, "hook_storage_potf2", j,
            [this, j] { hook_storage(fault::Op::Potf2, j); });
   if (ft_) {
-    for (int i = j; i < nb_; ++i) dag_verify(g, i, j, fault::Op::Potf2, j);
+    for (int i = j; i < nb_; ++i)
+      dag_verify(g, i, j, fault::Op::Potf2, j, Sums::Rows);
   }
   {
     std::vector<runtime::Footprint> fp;
@@ -718,11 +417,12 @@ void QrRun::dag_iteration(runtime::TaskGraph& g, int j) {
   if (ft_) {
     // V is always verified before the trailing update reads it (see the
     // bulk path); the trailing blocks obey the K interval.
-    for (int i = j; i < nb_; ++i) dag_verify(g, i, j, fault::Op::Trsm, j);
+    for (int i = j; i < nb_; ++i)
+      dag_verify(g, i, j, fault::Op::Trsm, j, Sums::Rows);
     if (verify_this_iter) {
       for (int i = j; i < nb_; ++i)
         for (int k = j + 1; k < nb_; ++k)
-          dag_verify(g, i, k, fault::Op::Gemm, j);
+          dag_verify(g, i, k, fault::Op::Gemm, j, Sums::Rows);
     } else {
       tel_.verify_skipped(fault::Op::Gemm,
                           static_cast<std::size_t>(nb_ - j) *
@@ -796,37 +496,7 @@ void QrRun::dag_sweep(runtime::TaskGraph& g) {
   // swept while the factorization tail still runs.
   for (int k = 0; k < nb_; ++k)
     for (int i = 0; i < nb_; ++i)
-      dag_verify(g, i, k, fault::Op::Trsm, -1);
-}
-
-void QrRun::run_once_dag() {
-  dag_slot_ = 0;
-  runtime::TaskGraph g;
-  if (ft_) dag_encode(g);
-  for (int j = 0; j < nb_; ++j) {
-    cur_iter_ = j;
-    dag_iteration(g, j);
-  }
-  if (ft_) {
-    cur_iter_ = -1;
-    dag_sweep(g);
-  }
-  // Opt-in dynamic footprint sanitizer (docs/static-analysis.md).
-  runtime::AccessTracker tracker;
-  const bool sanitize = runtime::sanitize_env_enabled();
-  if (sanitize) g.set_access_tracker(&tracker);
-  // Same transfer-fault arming as the bulk path.
-  sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
-  runtime::StreamRunOptions ropts;
-  ropts.streams = dag_streams();
-  ropts.profile = tel_.profile();
-  ropts.metrics = opt_.metrics;
-  ropts.schedule_seed = opt_.dag_schedule_seed;
-  runtime::run_on_streams(g, m_, ropts);
-  m_.sync_all();
-  if (sanitize && !tracker.clean()) {
-    throw Error("qr DAG failed footprint sanitizing\n" + tracker.report(g));
-  }
+      dag_verify(g, i, k, fault::Op::Trsm, -1, Sums::Rows);
 }
 
 }  // namespace
