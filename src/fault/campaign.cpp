@@ -117,40 +117,9 @@ ScenarioResult run_scenario(const Scenario& sc) {
                    static_cast<long long>(ctx.dev_off),
                    ctx.armed ? 1 : 0, specs.size(), ctx.end);
     }
-    if (specs.empty() || ctx.data == nullptr || ctx.rows <= 0 ||
-        ctx.cols <= 0) {
-      return;
-    }
-    for (FaultSpec spec : specs) {
-      int r = 0;
-      int c = 0;
-      if (spec.elem_row >= 0) {  // planned replay: clamp to this copy
-        r = std::min(spec.elem_row, ctx.rows - 1);
-        c = std::min(spec.elem_col, ctx.cols - 1);
-      } else {  // fresh arrival: pick the struck element now
-        r = xfer_rng.uniform_int(0, ctx.rows - 1);
-        c = xfer_rng.uniform_int(0, ctx.cols - 1);
-        spec.elem_row = r;
-        spec.elem_col = c;
-        spec.bits = proc != nullptr ? proc->sample_bits()
-                                    : std::vector<int>{47, 52};
-      }
-      double* p = ctx.data + static_cast<std::int64_t>(c) * ctx.ld + r;
-      const double old_value = *p;
-      double v = old_value;
-      for (int b : spec.bits) v = flip_bit(v, b);
-      *p = v;
-      // Global coordinates are only meaningful for full-matrix device
-      // copies (ld == n); checksum-strip and scratch copies record -1.
-      int grow = -1;
-      int gcol = -1;
-      if (ctx.dev_off >= 0 && ctx.ld == n) {
-        grow = static_cast<int>(ctx.dev_off % n) + r;
-        gcol = static_cast<int>(ctx.dev_off / n) + c;
-      }
-      inj.record(spec, old_value, v, grow, gcol);
-      ++transfer_faults;
-    }
+    transfer_faults +=
+        strike_transfer(inj, specs, ctx.data, ctx.rows, ctx.cols, ctx.ld,
+                        ctx.dev_off, n, xfer_rng, proc);
   });
 
   // A scratch registry activates the drivers' telemetry layer, which is
@@ -734,6 +703,13 @@ bool parse_scenario(const std::string& text, Scenario* out,
         } else if (key == "elem") {
           ok = std::sscanf(val.c_str(), "%d,%d", &f.elem_row,
                            &f.elem_col) == 2;
+          // Element coordinates index into a block: a negative one
+          // would strike outside it. No writer emits one (transfer
+          // skeletons are concretized before a plan is recorded).
+          if (ok && (f.elem_row < 0 || f.elem_col < 0)) {
+            return fail(where() + "negative element coordinate in 'elem=" +
+                        val + "'");
+          }
         } else if (key == "bits") {
           f.bits.clear();
           std::istringstream bs(val);

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "common/error.hpp"
+#include "common/fp.hpp"
 #include "fault/process.hpp"
 
 namespace ftla::fault {
@@ -91,6 +92,45 @@ std::vector<FaultSpec> Injector::take_transfer(std::int64_t seq, double now,
     }
   }
   return fired;
+}
+
+int strike_transfer(Injector& inj, const std::vector<FaultSpec>& specs,
+                    double* data, int rows, int cols, int ld,
+                    std::int64_t dev_off, int n, Rng& rng,
+                    FaultProcess* process) {
+  if (specs.empty() || data == nullptr || rows <= 0 || cols <= 0) return 0;
+  int struck = 0;
+  for (FaultSpec spec : specs) {
+    int r = 0;
+    int c = 0;
+    if (spec.elem_row >= 0) {  // planned replay: clamp to this copy
+      r = std::min(spec.elem_row, rows - 1);
+      c = std::clamp(spec.elem_col, 0, cols - 1);
+    } else {  // fresh arrival: pick the struck element now
+      r = rng.uniform_int(0, rows - 1);
+      c = rng.uniform_int(0, cols - 1);
+      spec.elem_row = r;
+      spec.elem_col = c;
+      spec.bits = process != nullptr ? process->sample_bits()
+                                     : std::vector<int>{47, 52};
+    }
+    double* p = data + static_cast<std::int64_t>(c) * ld + r;
+    const double old_value = *p;
+    double v = old_value;
+    for (int b : spec.bits) v = flip_bit(v, b);
+    *p = v;
+    // Global coordinates are only meaningful for full-matrix device
+    // copies (ld == n); checksum-strip and scratch copies record -1.
+    int grow = -1;
+    int gcol = -1;
+    if (dev_off >= 0 && ld == n) {
+      grow = static_cast<int>(dev_off % n) + r;
+      gcol = static_cast<int>(dev_off / n) + c;
+    }
+    inj.record(spec, old_value, v, grow, gcol);
+    ++struck;
+  }
+  return struck;
 }
 
 std::vector<FaultSpec> Injector::poll_window(Op op, int iteration) {

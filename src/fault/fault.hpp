@@ -191,6 +191,20 @@ class Injector {
   FaultProcess* process_ = nullptr;
 };
 
+/// Strikes the transfer faults `specs` (from Injector::take_transfer)
+/// into a landed copy: column-major `data`, rows x cols with leading
+/// dimension `ld`, whose destination starts `dev_off` doubles into a
+/// device buffer (-1 for host destinations). A planned replay clamps
+/// its element into the copy; a process skeleton (negative elem_row)
+/// draws the element from `rng` and its bits from `process` ({47, 52}
+/// without one). Each strike flips the landed bits and is recorded with
+/// `inj`, carrying global coordinates only for full-matrix copies
+/// (ld == n). Returns the number of strikes.
+int strike_transfer(Injector& inj, const std::vector<FaultSpec>& specs,
+                    double* data, int rows, int cols, int ld,
+                    std::int64_t dev_off, int n, Rng& rng,
+                    FaultProcess* process);
+
 /// Builders for the paper's two experiment scenarios on an
 /// (nblocks x nblocks)-block matrix.
 /// One computing error in the GEMM output of iteration `iter`.

@@ -359,37 +359,9 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
     TransferHookGuard hook_guard(m);
     if (proc != nullptr) {
       m.set_transfer_hook([&](const sim::TransferCtx& ctx) {
-        auto specs = inj.take_transfer(ctx.seq, ctx.end, ctx.armed);
-        if (specs.empty() || ctx.data == nullptr || ctx.rows <= 0 ||
-            ctx.cols <= 0) {
-          return;
-        }
-        for (fault::FaultSpec fs : specs) {
-          int fr = 0;
-          int fc = 0;
-          if (fs.elem_row >= 0) {
-            fr = std::min(fs.elem_row, ctx.rows - 1);
-            fc = std::min(fs.elem_col, ctx.cols - 1);
-          } else {
-            fr = xfer_rng.uniform_int(0, ctx.rows - 1);
-            fc = xfer_rng.uniform_int(0, ctx.cols - 1);
-            fs.elem_row = fr;
-            fs.elem_col = fc;
-            fs.bits = proc->sample_bits();
-          }
-          double* p = ctx.data + static_cast<std::int64_t>(fc) * ctx.ld + fr;
-          const double old_value = *p;
-          double v = old_value;
-          for (int b : fs.bits) v = flip_bit(v, b);
-          *p = v;
-          int grow = -1;
-          int gcol = -1;
-          if (ctx.dev_off >= 0 && ctx.ld == n) {
-            grow = static_cast<int>(ctx.dev_off % n) + fr;
-            gcol = static_cast<int>(ctx.dev_off / n) + fc;
-          }
-          inj.record(fs, old_value, v, grow, gcol);
-        }
+        fault::strike_transfer(
+            inj, inj.take_transfer(ctx.seq, ctx.end, ctx.armed), ctx.data,
+            ctx.rows, ctx.cols, ctx.ld, ctx.dev_off, n, xfer_rng, proc.get());
       });
     }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "abft/cholesky.hpp"
+#include "abft/lu.hpp"
 #include "blas/lapack.hpp"
 #include "common/fp.hpp"
 #include "common/thread_pool.hpp"
@@ -259,6 +260,54 @@ TEST(ScenarioIo, ParseReportsLineNumbers) {
   EXPECT_FALSE(parse_scenario("scenario algo=cholesky\nfault type=bogus\n",
                               &sc, &err));
   EXPECT_NE(err.find("2"), std::string::npos) << err;
+}
+
+// A replay file whose fault element lies before its block: accepted
+// verbatim, the LU driver would have written outside the matrix.
+constexpr const char* kNegativeElemPlan =
+    "scenario algo=lu variant=enhanced-online-abft recovery=rerun "
+    "placement=gpu runtime=bulk n=64 block=16 k=1 ckpt=8 matrix_seed=7 "
+    "guard=0 ecc=0 mtbf=0 fault_seed=1 max_arrivals=0\n"
+    "fault type=storage op=potf2 iter=0 block=0,0 elem=0,-3 bits=52 mag=0 "
+    "chk=0 xfer=-1\n";
+
+TEST(ScenarioIo, ParseRejectsNegativeElementCoordinates) {
+  Scenario sc;
+  std::string err;
+  EXPECT_FALSE(parse_scenario(kNegativeElemPlan, &sc, &err));
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(err.find("negative element coordinate"), std::string::npos)
+      << err;
+  // Either coordinate alone is enough.
+  EXPECT_FALSE(parse_scenario(
+      "scenario algo=cholesky n=64 block=16\nfault type=storage elem=-1,0\n",
+      &sc, &err));
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+}
+
+TEST(StrikeDeathTest, NegativeElementAbortsInsteadOfWritingOutOfBounds) {
+  // The same strike handed to a driver in-process (bypassing the
+  // parser): the shared strike helper refuses it before touching memory.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FaultSpec f;
+  f.type = FaultType::Storage;
+  f.op = Op::Potf2;
+  f.iteration = 0;
+  f.block_row = 0;
+  f.block_col = 0;
+  f.elem_row = 0;
+  f.elem_col = -3;
+  const int n = 64;
+  EXPECT_DEATH(
+      {
+        sim::Machine m(sim::test_rig(), sim::ExecutionMode::Numeric);
+        Matrix<double> a = test::random_spd(n, 7);
+        Injector inj({f});
+        abft::LuOptions o;
+        o.block_size = 16;
+        (void)abft::lu(m, &a, n, o, &inj);
+      },
+      "non-negative");
 }
 
 TEST(Shrink, ProducesMinimalReplayablePlan) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "fault/process.hpp"
@@ -48,6 +49,63 @@ TEST(Injector, RecordsKeepHistory) {
   EXPECT_EQ(inj.records()[0].new_value, 2.0);
   EXPECT_EQ(inj.records()[0].global_row, 10);
   EXPECT_EQ(inj.records()[0].global_col, 20);
+}
+
+TEST(StrikeTransfer, PlannedReplayClampsIntoTheCopy) {
+  // A 4x3 landed copy (ld 5) of a full-matrix transfer at (row 2,
+  // col 1) of an n = 5 matrix. Out-of-range planned coordinates —
+  // negative included — clamp into the copy instead of leaving it.
+  std::vector<double> buf(15, 1.0);
+  FaultSpec s;
+  s.type = FaultType::Transfer;
+  s.elem_row = 9;
+  s.elem_col = -4;
+  s.bits = {63};
+  Injector inj;
+  Rng rng(1);
+  EXPECT_EQ(strike_transfer(inj, {s}, buf.data(), 4, 3, 5, 1 * 5 + 2, 5,
+                            rng, nullptr),
+            1);
+  ASSERT_EQ(inj.records().size(), 1u);
+  const InjectionRecord& rec = inj.records()[0];
+  EXPECT_EQ(buf[3], -1.0);  // (row 3, col 0) of the copy
+  EXPECT_EQ(rec.global_row, 2 + 3);
+  EXPECT_EQ(rec.global_col, 1 + 0);
+  EXPECT_EQ(rec.old_value, 1.0);
+  EXPECT_EQ(rec.new_value, -1.0);
+}
+
+TEST(StrikeTransfer, SkeletonDrawsItsElementAndBits) {
+  std::vector<double> buf(6, 2.0);
+  FaultSpec s;
+  s.type = FaultType::Transfer;
+  s.elem_row = -1;
+  s.elem_col = -1;
+  s.bits.clear();
+  Injector inj;
+  Rng rng(3);
+  // Host destination: no global coordinates.
+  EXPECT_EQ(strike_transfer(inj, {s}, buf.data(), 2, 3, 2, -1, 8, rng,
+                            nullptr),
+            1);
+  const InjectionRecord& rec = inj.records().at(0);
+  EXPECT_GE(rec.spec.elem_row, 0);
+  EXPECT_LT(rec.spec.elem_row, 2);
+  EXPECT_GE(rec.spec.elem_col, 0);
+  EXPECT_LT(rec.spec.elem_col, 3);
+  EXPECT_EQ(rec.spec.bits, (std::vector<int>{47, 52}));
+  EXPECT_EQ(rec.global_row, -1);
+  EXPECT_EQ(rec.global_col, -1);
+  EXPECT_NE(buf[static_cast<std::size_t>(rec.spec.elem_col) * 2 +
+                static_cast<std::size_t>(rec.spec.elem_row)],
+            2.0);
+  // Nothing to strike: empty specs or an empty copy.
+  EXPECT_EQ(strike_transfer(inj, {}, buf.data(), 2, 3, 2, -1, 8, rng,
+                            nullptr),
+            0);
+  EXPECT_EQ(strike_transfer(inj, {s}, buf.data(), 0, 3, 2, -1, 8, rng,
+                            nullptr),
+            0);
 }
 
 TEST(Ecc, CorrectsSingleBitOnly) {
