@@ -36,6 +36,7 @@
 #include "sim/machine.hpp"
 #include "sim/profile.hpp"
 #include "sim/profiler.hpp"
+#include "sim/trace_export.hpp"
 
 namespace ftla::bench {
 
@@ -202,7 +203,7 @@ inline void write_bench_report(
   }
 }
 
-/// Re-runs one configuration with tracing enabled and writes the
+/// Re-runs one configuration with a span store attached and writes the
 /// windowed time-series report (resource occupancy over virtual time;
 /// obs/timeseries.hpp) when `path` is non-empty. The rollup window is
 /// makespan / 20, matching ftla_cli's --timeseries-out default, so
@@ -215,14 +216,15 @@ inline void write_bench_timeseries(
     const abft::CholeskyOptions& opt) {
   if (path.empty()) return;
   sim::Machine m(profile, sim::ExecutionMode::TimingOnly);
-  m.set_trace_enabled(true);
+  obs::SpanStore spans;
+  m.set_span_store(&spans);
   auto res = abft::cholesky(m, nullptr, n, opt);
   if (!res.success) {
     std::cerr << "timeseries run failed: " << res.note << "\n";
     std::exit(1);
   }
   obs::TimeSeriesStore store;
-  sim::append_machine_timeseries(m, &store);
+  sim::append_machine_timeseries(m, spans, &store);
   obs::TimeSeriesReport report =
       obs::build_timeseries_report(store, m.makespan() / 20.0);
   report.meta["bench"] = bench;

@@ -172,18 +172,6 @@ double Machine::kernel_duration(const KernelDesc& d, int units) const {
   return dur;
 }
 
-void Machine::note_trace(std::string name, KernelClass cls, int lane,
-                         double start, double end, int units,
-                         std::int64_t flops) {
-  if (!trace_enabled_) return;
-  if (trace_.size() >= trace_limit_) {
-    ++trace_dropped_;
-    return;
-  }
-  trace_.push_back(
-      TraceRecord{std::move(name), cls, lane, start, end, units, flops});
-}
-
 void Machine::note_span(obs::EventKind kind, const std::string& name,
                         KernelClass cls, int lane, double start, double end,
                         std::int64_t flops, std::int64_t bytes, int units) {
@@ -240,7 +228,6 @@ void Machine::launch(StreamId s, const KernelDesc& d,
   ++cs.count;
   cs.flops += d.flops;
   cs.busy_seconds += dur;
-  note_trace(d.name, d.cls, s, start, end, units, d.flops);
   note_span(obs::EventKind::Kernel, d.name, d.cls, s, start, end, d.flops, 0,
             units);
 }
@@ -262,7 +249,6 @@ void Machine::host_compute(const KernelDesc& d,
   ++cs.count;
   cs.flops += d.flops;
   cs.busy_seconds += dur;
-  note_trace(d.name, d.cls, kHostLane, start, host_time_, 0, d.flops);
   note_span(obs::EventKind::HostTask, d.name, d.cls, kHostLane, start,
             host_time_, d.flops, 0, 0);
 }
@@ -294,7 +280,6 @@ void Machine::memcpy_h2d(DeviceBuffer& dst, std::int64_t dst_off,
   ++stats_.h2d_count;
   stats_.h2d_bytes += n * static_cast<std::int64_t>(sizeof(double));
   stats_.h2d_seconds += dur;
-  note_trace("h2d", KernelClass::Other, kH2dLane, start, end, 0);
   note_span(obs::EventKind::Copy, "h2d", KernelClass::Other, kH2dLane,
             start, end, 0, n * static_cast<std::int64_t>(sizeof(double)),
             0);
@@ -329,7 +314,6 @@ void Machine::memcpy_d2h(double* dst, const DeviceBuffer& src,
   ++stats_.d2h_count;
   stats_.d2h_bytes += n * static_cast<std::int64_t>(sizeof(double));
   stats_.d2h_seconds += dur;
-  note_trace("d2h", KernelClass::Other, kD2hLane, start, end, 0);
   note_span(obs::EventKind::Copy, "d2h", KernelClass::Other, kD2hLane,
             start, end, 0, n * static_cast<std::int64_t>(sizeof(double)),
             0);
@@ -370,7 +354,6 @@ void Machine::memcpy_h2d_2d(DeviceBuffer& dst, std::int64_t dst_off,
   ++stats_.h2d_count;
   stats_.h2d_bytes += static_cast<std::int64_t>(rows) * cols * 8;
   stats_.h2d_seconds += dur;
-  note_trace("h2d_2d", KernelClass::Other, kH2dLane, start, end, 0);
   note_span(obs::EventKind::Copy, "h2d_2d", KernelClass::Other, kH2dLane,
             start, end, 0, static_cast<std::int64_t>(rows) * cols * 8, 0);
   if (blocking) host_time_ = std::max(host_time_, end);
@@ -410,7 +393,6 @@ void Machine::memcpy_d2h_2d(double* dst, int dst_ld, const DeviceBuffer& src,
   ++stats_.d2h_count;
   stats_.d2h_bytes += static_cast<std::int64_t>(rows) * cols * 8;
   stats_.d2h_seconds += dur;
-  note_trace("d2h_2d", KernelClass::Other, kD2hLane, start, end, 0);
   note_span(obs::EventKind::Copy, "d2h_2d", KernelClass::Other, kD2hLane,
             start, end, 0, static_cast<std::int64_t>(rows) * cols * 8, 0);
   if (blocking) host_time_ = std::max(host_time_, end);
@@ -443,7 +425,6 @@ void Machine::memcpy_d2d(DeviceBuffer& dst, std::int64_t dst_off,
   auto& cs = stats_.gpu[KernelClass::Memset];
   ++cs.count;
   cs.busy_seconds += dur;
-  note_trace("d2d", KernelClass::Memset, s, start, start + dur, 1);
   note_span(obs::EventKind::Copy, "d2d", KernelClass::Memset, s, start,
             start + dur, 0, n * static_cast<std::int64_t>(sizeof(double)), 1);
 }

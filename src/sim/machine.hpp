@@ -68,16 +68,7 @@ struct KernelDesc {
 using StreamId = int;
 using EventId = int;
 
-struct TraceRecord {
-  std::string name;
-  KernelClass cls = KernelClass::Other;
-  int lane = 0;  ///< stream id, or kHostLane / kH2dLane / kD2hLane
-  double start = 0.0;
-  double end = 0.0;
-  int units = 0;
-  std::int64_t flops = 0;  ///< modeled cost (0 for transfers)
-};
-
+/// Span lanes (obs::Span::lane) besides the stream ids.
 inline constexpr int kHostLane = -1;
 inline constexpr int kH2dLane = -2;
 inline constexpr int kD2hLane = -3;
@@ -262,39 +253,21 @@ class Machine {
   /// Mean GPU SM-pool utilization over [0, makespan()].
   [[nodiscard]] double gpu_utilization() const;
 
-  void set_trace_enabled(bool enabled) { trace_enabled_ = enabled; }
-  [[nodiscard]] const std::vector<TraceRecord>& trace() const noexcept {
-    return trace_;
-  }
-
-  /// Default cap on retained trace records. Long TimingOnly sweeps issue
-  /// millions of operations; an unbounded trace_ dominated memory, so
-  /// recording stops at the cap and further records are only counted.
-  static constexpr std::size_t kDefaultTraceLimit = 1u << 20;
-  /// Adjusts the record cap (takes effect for subsequent records; it
-  /// does not shrink an already-collected trace).
-  void set_trace_limit(std::size_t limit) { trace_limit_ = limit; }
-  [[nodiscard]] std::size_t trace_limit() const noexcept {
-    return trace_limit_;
-  }
-  /// Records discarded because the trace was at its cap.
-  [[nodiscard]] std::size_t trace_dropped() const noexcept {
-    return trace_dropped_;
-  }
-
   /// Attaches a structured-event sink (not owned; nullptr detaches).
   /// Every kernel, host task, copy and sync is then posted as an
   /// obs::Event with stream / SM-unit attribution, independent of the
-  /// TraceRecord path.
+  /// span store.
   void set_event_sink(obs::EventSink* sink) { sink_ = sink; }
   [[nodiscard]] obs::EventSink* event_sink() const noexcept { return sink_; }
 
-  /// Attaches a profiler span store (not owned; nullptr detaches).
-  /// Every kernel, host task and copy is then recorded as an obs::Span
-  /// with its virtual window, lane, kernel class and modeled cost; the
-  /// attached store stamps ABFT phase and iteration (sim/profiler.hpp).
+  /// Attaches the span store (not owned; nullptr detaches): the one
+  /// record of simulated activity. Every kernel, host task and copy is
+  /// then recorded as an obs::Span with its virtual window, lane, kernel
+  /// class and modeled cost; the attached store stamps ABFT phase and
+  /// iteration (sim/profiler.hpp). The profile, the Chrome trace, the
+  /// trace summary and the occupancy time series are views of it
+  /// (sim/trace_export.hpp). Without a store nothing is recorded.
   void set_span_store(obs::SpanStore* spans) { spans_ = spans; }
-  [[nodiscard]] obs::SpanStore* span_store() const noexcept { return spans_; }
 
   // ----- transfer-fault hook ----------------------------------------
   /// Attaches the transfer-corruption hook (fault campaigns). Called in
@@ -369,8 +342,6 @@ class Machine {
   void note_transfer(const char* name, bool h2d, double* data, int rows,
                      int cols, int ld, std::int64_t dev_off, double start,
                      double end, StreamId s);
-  void note_trace(std::string name, KernelClass cls, int lane, double start,
-                  double end, int units, std::int64_t flops = 0);
   void note_span(obs::EventKind kind, const std::string& name,
                  KernelClass cls, int lane, double start, double end,
                  std::int64_t flops, std::int64_t bytes, int units);
@@ -386,10 +357,6 @@ class Machine {
   std::vector<double> events_;
   std::int64_t device_bytes_in_use_ = 0;
   SimStats stats_;
-  bool trace_enabled_ = false;
-  std::vector<TraceRecord> trace_;
-  std::size_t trace_limit_ = kDefaultTraceLimit;
-  std::size_t trace_dropped_ = 0;
   obs::EventSink* sink_ = nullptr;
   obs::SpanStore* spans_ = nullptr;
   TransferHook transfer_hook_;

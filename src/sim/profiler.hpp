@@ -8,11 +8,12 @@
 // one obs::SpanStore, attaches it with Machine::set_span_store() AND
 // passes it to the driver options (CholeskyOptions::profile etc.) so
 // driver phase/iteration tags and machine spans land in the same store.
+// The same store backs the trace views (sim/trace_export.hpp), so one
+// attached store serves a run that both profiles and traces.
 #pragma once
 
 #include "obs/profile_report.hpp"
 #include "obs/span.hpp"
-#include "obs/timeseries.hpp"
 #include "sim/machine.hpp"
 
 namespace ftla::sim {
@@ -24,16 +25,5 @@ namespace ftla::sim {
 [[nodiscard]] obs::ProfileReport build_profile(const Machine& machine,
                                                const obs::SpanStore& spans,
                                                int top_k = 12);
-
-/// Derives resource-occupancy gauge series from a finished run's trace
-/// and appends them to `out` (same step-function derivation as the
-/// Chrome-trace counter tracks): timeseries.sim.sm_units_in_use,
-/// timeseries.sim.h2d_copies_in_flight,
-/// timeseries.sim.d2h_copies_in_flight and
-/// timeseries.sim.outstanding_verifications, each sampled at every
-/// level change and closed with a final sample at the makespan.
-/// Deterministic: the trace is replayed in a canonical sorted order.
-void append_machine_timeseries(const Machine& machine,
-                               obs::TimeSeriesStore* out);
 
 }  // namespace ftla::sim

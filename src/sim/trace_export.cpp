@@ -4,7 +4,10 @@
 #include <fstream>
 #include <map>
 #include <ostream>
+#include <utility>
 #include <vector>
+
+#include "obs/event_sink.hpp"  // json_escape
 
 namespace ftla::sim {
 
@@ -29,15 +32,57 @@ int lane_tid(int lane) {
   }
 }
 
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
+/// Resource occupancy over virtual time: one step function per tracked
+/// resource, as (instant, level) at every level change in time order.
+struct Occupancy {
+  using Steps = std::vector<std::pair<double, long long>>;
+  Steps sm_units;       ///< SM units held by GPU-pool work (kernels, d2d)
+  Steps h2d_copies;     ///< copies in flight on the H2D engine
+  Steps d2h_copies;     ///< copies in flight on the D2H engine
+  Steps verifications;  ///< recalc/verify spans in flight
+};
+
+/// Sorts start/end deltas and folds them, in place, into the running
+/// level at each distinct instant.
+void fold_steps(Occupancy::Steps& v) {
+  std::sort(v.begin(), v.end());
+  std::size_t out = 0;
+  long long level = 0;
+  for (std::size_t i = 0; i < v.size();) {
+    const double t = v[i].first;
+    for (; i < v.size() && v[i].first == t; ++i) level += v[i].second;
+    v[out++] = {t, level};
   }
+  v.resize(out);
 }
 
-/// True for obs kinds whose spans duplicate the machine's own trace
-/// records — the merger skips them.
+Occupancy occupancy(const std::vector<obs::Span>& spans) {
+  Occupancy o;
+  for (const auto& r : spans) {
+    if (r.lane >= 0) {  // GPU pool work: kernels and d2d copies
+      o.sm_units.emplace_back(r.start, r.units);
+      o.sm_units.emplace_back(r.end, -r.units);
+    } else if (r.lane == kH2dLane) {
+      o.h2d_copies.emplace_back(r.start, 1);
+      o.h2d_copies.emplace_back(r.end, -1);
+    } else if (r.lane == kD2hLane) {
+      o.d2h_copies.emplace_back(r.start, 1);
+      o.d2h_copies.emplace_back(r.end, -1);
+    }
+    if (r.name.rfind("verify", 0) == 0 || r.name.rfind("recalc", 0) == 0) {
+      o.verifications.emplace_back(r.start, 1);
+      o.verifications.emplace_back(r.end, -1);
+    }
+  }
+  fold_steps(o.sm_units);
+  fold_steps(o.h2d_copies);
+  fold_steps(o.d2h_copies);
+  fold_steps(o.verifications);
+  return o;
+}
+
+/// True for obs kinds that duplicate the recorded spans — the merger
+/// skips them.
 bool is_machine_span(obs::EventKind k) {
   return k == obs::EventKind::Kernel || k == obs::EventKind::HostTask ||
          k == obs::EventKind::Copy || k == obs::EventKind::Sync;
@@ -53,7 +98,7 @@ void write_event_args(std::ostream& os, const obs::Event& e) {
   if (!e.op.empty()) {
     sep();
     os << "\"op\":\"";
-    json_escape(os, e.op);
+    obs::json_escape(e.op, os);
     os << "\"";
   }
   if (e.iteration >= 0) {
@@ -101,40 +146,40 @@ void write_event_args(std::ostream& os, const obs::Event& e) {
   if (!e.detail.empty()) {
     sep();
     os << "\"detail\":\"";
-    json_escape(os, e.detail);
+    obs::json_escape(e.detail, os);
     os << "\"";
   }
   os << "}";
 }
 
-void write_trace_impl(const Machine& machine,
-                      const std::vector<obs::Event>* events,
-                      std::ostream& os) {
+}  // namespace
+
+void write_chrome_trace(const obs::SpanStore& spans, std::ostream& os,
+                        const std::vector<obs::Event>& events) {
+  const std::vector<obs::Span> trace = spans.snapshot();
   os << "{\"traceEvents\":[";
   bool first = true;
   // Lane naming metadata.
   std::map<int, bool> lanes;
-  for (const auto& r : machine.trace()) lanes[r.lane] = true;
-  if (events != nullptr) {
-    for (const auto& e : *events) {
-      if (!is_machine_span(e.kind)) lanes[e.lane] = true;
-    }
+  for (const auto& r : trace) lanes[r.lane] = true;
+  for (const auto& e : events) {
+    if (!is_machine_span(e.kind)) lanes[e.lane] = true;
   }
   for (const auto& [lane, _] : lanes) {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
        << lane_tid(lane) << ",\"args\":{\"name\":\"";
-    json_escape(os, lane_name(lane));
+    obs::json_escape(lane_name(lane), os);
     os << "\"}}";
   }
   // Complete events; virtual seconds -> microseconds.
-  for (const auto& r : machine.trace()) {
+  for (const auto& r : trace) {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"";
-    json_escape(os, r.name);
-    os << "\",\"cat\":\"" << to_string(r.cls)
+    obs::json_escape(r.name, os);
+    os << "\",\"cat\":\"" << r.cls
        << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << lane_tid(r.lane)
        << ",\"ts\":" << r.start * 1e6 << ",\"dur\":" << (r.end - r.start) * 1e6
        << ",\"args\":{\"sm_units\":" << r.units;
@@ -143,59 +188,29 @@ void write_trace_impl(const Machine& machine,
   }
 
   // Counter tracks ("ph":"C"): SM occupancy, copy-engine busy and
-  // outstanding verification work over time, derived from the same
-  // trace records as step functions over their start/end deltas.
-  using Deltas = std::vector<std::pair<double, long long>>;
-  Deltas sm_use, h2d_use, d2h_use, verify_use;
-  for (const auto& r : machine.trace()) {
-    if (r.lane >= 0) {  // GPU pool work: kernels and d2d copies
-      sm_use.emplace_back(r.start, r.units);
-      sm_use.emplace_back(r.end, -r.units);
-    } else if (r.lane == kH2dLane) {
-      h2d_use.emplace_back(r.start, 1);
-      h2d_use.emplace_back(r.end, -1);
-    } else if (r.lane == kD2hLane) {
-      d2h_use.emplace_back(r.start, 1);
-      d2h_use.emplace_back(r.end, -1);
-    }
-    if (r.name.rfind("verify", 0) == 0 || r.name.rfind("recalc", 0) == 0) {
-      verify_use.emplace_back(r.start, 1);
-      verify_use.emplace_back(r.end, -1);
-    }
-  }
+  // outstanding verification work over time.
+  const Occupancy occ = occupancy(trace);
   auto counter_track = [&](const char* name, const char* key,
-                           Deltas& deltas) {
-    if (deltas.empty()) return;
-    std::sort(deltas.begin(), deltas.end());
-    long long level = 0;
-    for (std::size_t i = 0; i < deltas.size();) {
-      const double t = deltas[i].first;
-      for (; i < deltas.size() && deltas[i].first == t; ++i) {
-        level += deltas[i].second;
-      }
+                           const Occupancy::Steps& steps) {
+    for (const auto& [t, level] : steps) {
       if (!first) os << ",";
       first = false;
       os << "{\"name\":\"" << name << "\",\"ph\":\"C\",\"pid\":1,\"ts\":"
          << t * 1e6 << ",\"args\":{\"" << key << "\":" << level << "}}";
     }
   };
-  counter_track("sm_units_in_use", "units", sm_use);
-  counter_track("h2d_engine_busy", "copies", h2d_use);
-  counter_track("d2h_engine_busy", "copies", d2h_use);
-  counter_track("outstanding_verifications", "spans", verify_use);
-
-  if (events == nullptr) {
-    os << "]}";
-    return;
-  }
+  counter_track("sm_units_in_use", "units", occ.sm_units);
+  counter_track("h2d_engine_busy", "copies", occ.h2d_copies);
+  counter_track("d2h_engine_busy", "copies", occ.d2h_copies);
+  counter_track("outstanding_verifications", "spans", occ.verifications);
 
   // Semantic telemetry events as thread-scoped instant events.
-  for (const auto& e : *events) {
+  for (const auto& e : events) {
     if (is_machine_span(e.kind)) continue;
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"";
-    json_escape(os, e.name.empty() ? to_string(e.kind) : e.name);
+    obs::json_escape(e.name.empty() ? to_string(e.kind) : e.name, os);
     os << "\",\"cat\":\"" << to_string(e.kind)
        << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
        << lane_tid(e.lane) << ",\"ts\":" << e.time * 1e6 << ",\"args\":";
@@ -213,7 +228,7 @@ void write_trace_impl(const Machine& machine,
     const obs::Event* repair = nullptr;  // first correction / chk repair
   };
   std::map<std::int64_t, Chain> chains;
-  for (const auto& e : *events) {
+  for (const auto& e : events) {
     if (e.correlation < 0) continue;
     Chain& c = chains[e.correlation];
     switch (e.kind) {
@@ -246,38 +261,18 @@ void write_trace_impl(const Machine& machine,
   os << "]}";
 }
 
-}  // namespace
-
-void write_chrome_trace(const Machine& machine, std::ostream& os) {
-  write_trace_impl(machine, nullptr, os);
-}
-
-void write_chrome_trace(const Machine& machine,
-                        const std::vector<obs::Event>& events,
-                        std::ostream& os) {
-  write_trace_impl(machine, &events, os);
-}
-
-bool write_chrome_trace_file(const Machine& machine,
-                             const std::string& path) {
+bool write_chrome_trace_file(const obs::SpanStore& spans,
+                             const std::string& path,
+                             const std::vector<obs::Event>& events) {
   std::ofstream f(path);
   if (!f) return false;
-  write_chrome_trace(machine, f);
+  write_chrome_trace(spans, f, events);
   return static_cast<bool>(f);
 }
 
-bool write_chrome_trace_file(const Machine& machine,
-                             const std::vector<obs::Event>& events,
-                             const std::string& path) {
-  std::ofstream f(path);
-  if (!f) return false;
-  write_chrome_trace(machine, events, f);
-  return static_cast<bool>(f);
-}
-
-void print_trace_summary(const Machine& machine, std::ostream& os,
-                         int strip_width) {
-  const auto& trace = machine.trace();
+void print_trace_summary(const Machine& machine, const obs::SpanStore& spans,
+                         std::ostream& os, int strip_width) {
+  const std::vector<obs::Span> trace = spans.snapshot();
   const double span = machine.makespan();
   struct LaneStat {
     long long count = 0;
@@ -300,10 +295,9 @@ void print_trace_summary(const Machine& machine, std::ostream& os,
   }
   os << "trace summary — makespan " << span << " s, " << trace.size()
      << " ops";
-  if (machine.trace_dropped() > 0) {
-    os << " (" << machine.trace_dropped()
-       << " records dropped at the trace cap of " << machine.trace_limit()
-       << ")";
+  if (spans.dropped() > 0) {
+    os << " (" << spans.dropped() << " records dropped at the trace cap of "
+       << spans.limit() << ")";
   }
   os << "\n";
   for (const auto& [lane, ls] : lanes) {
@@ -312,6 +306,29 @@ void print_trace_summary(const Machine& machine, std::ostream& os,
        << ls.busy << " s (" << static_cast<int>(util * 100.0) << "%)\n    ["
        << std::string(ls.strip.begin(), ls.strip.end()) << "]\n";
   }
+}
+
+void append_machine_timeseries(const Machine& machine,
+                               const obs::SpanStore& spans,
+                               obs::TimeSeriesStore* out) {
+  const Occupancy occ = occupancy(spans.snapshot());
+  const double makespan = machine.makespan();
+  const auto series = [&](const char* name, const Occupancy::Steps& steps) {
+    if (steps.empty()) return;
+    for (const auto& [t, level] : steps) {
+      out->sample_gauge(name, t, static_cast<double>(level));
+    }
+    // Close the series at the makespan so the final (idle) level is
+    // visible in the last rollup window.
+    if (steps.back().first < makespan) {
+      out->sample_gauge(name, makespan,
+                        static_cast<double>(steps.back().second));
+    }
+  };
+  series("timeseries.sim.sm_units_in_use", occ.sm_units);
+  series("timeseries.sim.h2d_copies_in_flight", occ.h2d_copies);
+  series("timeseries.sim.d2h_copies_in_flight", occ.d2h_copies);
+  series("timeseries.sim.outstanding_verifications", occ.verifications);
 }
 
 }  // namespace ftla::sim

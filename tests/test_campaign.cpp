@@ -380,7 +380,8 @@ TEST(TransferFault, MidH2dCaughtByNextPreReferenceVerification) {
 
   auto a = a0;
   sim::Machine m(sim::test_rig(), sim::ExecutionMode::Numeric);
-  m.set_trace_enabled(true);
+  obs::SpanStore spans;
+  m.set_span_store(&spans);
   Injector inj({spec});
   obs::RingBufferSink sink;
   m.set_transfer_hook([&](const sim::TransferCtx& ctx) {
@@ -428,7 +429,7 @@ TEST(TransferFault, MidH2dCaughtByNextPreReferenceVerification) {
   // ...and the merged Chrome trace renders it: instant events for the
   // injection and detection plus a flow arrow between them.
   std::ostringstream os;
-  sim::write_chrome_trace(m, events, os);
+  sim::write_chrome_trace(spans, os, events);
   const std::string trace = os.str();
   EXPECT_NE(trace.find("fault:transfer"), std::string::npos);
   EXPECT_NE(trace.find("\"detection\""), std::string::npos);

@@ -15,7 +15,7 @@
 #include "obs/timeseries.hpp"
 #include "sim/machine.hpp"
 #include "sim/profile.hpp"
-#include "sim/profiler.hpp"
+#include "sim/trace_export.hpp"
 
 namespace ftla::obs {
 namespace {
@@ -155,7 +155,8 @@ TEST(TimeSeriesJson, RejectsWrongSchemaVersion) {
 std::string run_and_export(int threads) {
   common::set_global_threads(threads);
   sim::Machine machine(sim::test_rig(), sim::ExecutionMode::Numeric);
-  machine.set_trace_enabled(true);
+  SpanStore spans;
+  machine.set_span_store(&spans);
   TimeSeriesStore store;
 
   Matrix<double> a(64, 64);
@@ -168,7 +169,7 @@ std::string run_and_export(int threads) {
   const auto res = abft::cholesky(machine, &a, 64, opt, &injector);
   EXPECT_TRUE(res.success);
 
-  sim::append_machine_timeseries(machine, &store);
+  sim::append_machine_timeseries(machine, spans, &store);
   TimeSeriesReport rep =
       build_timeseries_report(store, machine.makespan() / 10.0);
   std::ostringstream os;

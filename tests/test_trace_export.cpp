@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/span.hpp"
 #include "sim/machine.hpp"
 #include "sim/profile.hpp"
 #include "sim/trace_export.hpp"
@@ -13,26 +14,30 @@
 namespace ftla::sim {
 namespace {
 
-Machine traced_machine() {
-  Machine m(test_rig(), ExecutionMode::Numeric);
-  m.set_trace_enabled(true);
-  auto buf = m.alloc(64);
-  std::vector<double> host(64, 1.0);
-  m.memcpy_h2d(buf, 0, host.data(), 64, 0);
-  m.launch(0, KernelDesc{"work", KernelClass::Blas3, 40'000'000'000LL, 0},
-           {});
-  m.host_compute(KernelDesc{"hwork", KernelClass::HostPotf2,
-                            10'000'000'000LL, 0},
-                 {});
-  m.memcpy_d2h(host.data(), buf, 0, 64, 0);
-  m.sync_all();
-  return m;
-}
+/// A machine with an attached span store, after a short workload that
+/// touches every lane.
+struct Traced {
+  Traced() : m(test_rig(), ExecutionMode::Numeric) {
+    m.set_span_store(&spans);
+    auto buf = m.alloc(64);
+    std::vector<double> host(64, 1.0);
+    m.memcpy_h2d(buf, 0, host.data(), 64, 0);
+    m.launch(0, KernelDesc{"work", KernelClass::Blas3, 40'000'000'000LL, 0},
+             {});
+    m.host_compute(KernelDesc{"hwork", KernelClass::HostPotf2,
+                              10'000'000'000LL, 0},
+                   {});
+    m.memcpy_d2h(host.data(), buf, 0, 64, 0);
+    m.sync_all();
+  }
+  obs::SpanStore spans;
+  Machine m;
+};
 
 TEST(ChromeTrace, EmitsValidEventSkeleton) {
-  auto m = traced_machine();
+  Traced t;
   std::ostringstream os;
-  write_chrome_trace(m, os);
+  write_chrome_trace(t.spans, os);
   const std::string s = os.str();
   EXPECT_EQ(s.front(), '{');
   EXPECT_EQ(s.back(), '}');
@@ -47,9 +52,9 @@ TEST(ChromeTrace, EmitsValidEventSkeleton) {
 }
 
 TEST(ChromeTrace, BalancedBracesAndQuotes) {
-  auto m = traced_machine();
+  Traced t;
   std::ostringstream os;
-  write_chrome_trace(m, os);
+  write_chrome_trace(t.spans, os);
   const std::string s = os.str();
   int depth = 0;
   int quotes = 0;
@@ -64,9 +69,9 @@ TEST(ChromeTrace, BalancedBracesAndQuotes) {
 }
 
 TEST(ChromeTrace, FileRoundTrip) {
-  auto m = traced_machine();
+  Traced t;
   const std::string path = ::testing::TempDir() + "/ftla_trace.json";
-  ASSERT_TRUE(write_chrome_trace_file(m, path));
+  ASSERT_TRUE(write_chrome_trace_file(t.spans, path));
   std::ifstream f(path);
   ASSERT_TRUE(f.good());
   std::string content((std::istreambuf_iterator<char>(f)),
@@ -75,14 +80,14 @@ TEST(ChromeTrace, FileRoundTrip) {
 }
 
 TEST(ChromeTrace, WriteToBadPathFails) {
-  auto m = traced_machine();
-  EXPECT_FALSE(write_chrome_trace_file(m, "/nonexistent-dir/x/y.json"));
+  Traced t;
+  EXPECT_FALSE(write_chrome_trace_file(t.spans, "/nonexistent-dir/x/y.json"));
 }
 
 TEST(TraceSummary, ReportsEveryLane) {
-  auto m = traced_machine();
+  Traced t;
   std::ostringstream os;
-  print_trace_summary(m, os, 40);
+  print_trace_summary(t.m, t.spans, os, 40);
   const std::string s = os.str();
   EXPECT_NE(s.find("host CPU"), std::string::npos);
   EXPECT_NE(s.find("stream 0"), std::string::npos);
@@ -98,59 +103,70 @@ TEST(TraceSummary, ReportsEveryLane) {
 
 TEST(TraceSummary, EmptyTraceIsSafe) {
   Machine m(test_rig(), ExecutionMode::Numeric);
-  m.set_trace_enabled(true);
+  obs::SpanStore spans;
+  m.set_span_store(&spans);
   std::ostringstream os;
-  print_trace_summary(m, os);
+  print_trace_summary(m, spans, os);
   EXPECT_NE(os.str().find("0 ops"), std::string::npos);
 }
 
 TEST(Trace, DisabledByDefault) {
+  // Recording needs an attached store: nothing is recorded before one
+  // is attached or after it is detached.
   Machine m(test_rig(), ExecutionMode::Numeric);
+  obs::SpanStore spans;
+  m.launch(0, KernelDesc{"before", KernelClass::Blas3, 1000, 0}, {});
+  m.set_span_store(&spans);
   m.launch(0, KernelDesc{"k", KernelClass::Blas3, 1000, 0}, {});
-  EXPECT_TRUE(m.trace().empty());
+  m.set_span_store(nullptr);
+  m.launch(0, KernelDesc{"after", KernelClass::Blas3, 1000, 0}, {});
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans.snapshot()[0].name, "k");
 }
 
 TEST(TraceCap, DropsBeyondLimitAndCounts) {
   Machine m(test_rig(), ExecutionMode::Numeric);
-  m.set_trace_enabled(true);
-  m.set_trace_limit(4);
+  obs::SpanStore spans(4);
+  m.set_span_store(&spans);
   for (int i = 0; i < 10; ++i) {
     m.launch(0, KernelDesc{"k" + std::to_string(i), KernelClass::Blas3,
                            1000, 0},
              {});
   }
   m.sync_all();
-  EXPECT_EQ(m.trace().size(), 4u);
-  EXPECT_EQ(m.trace_dropped(), 6u);
+  const std::vector<obs::Span> kept = spans.snapshot();
+  EXPECT_EQ(kept.size(), 4u);
+  EXPECT_EQ(spans.dropped(), 6u);
+  EXPECT_EQ(spans.limit(), 4u);
   // The earliest records are the ones retained.
-  EXPECT_EQ(m.trace()[0].name, "k0");
-  EXPECT_EQ(m.trace()[3].name, "k3");
+  EXPECT_EQ(kept[0].name, "k0");
+  EXPECT_EQ(kept[3].name, "k3");
 }
 
 TEST(TraceCap, SummaryReportsDroppedRecords) {
   Machine m(test_rig(), ExecutionMode::Numeric);
-  m.set_trace_enabled(true);
-  m.set_trace_limit(2);
+  obs::SpanStore spans(2);
+  m.set_span_store(&spans);
   for (int i = 0; i < 5; ++i) {
     m.launch(0, KernelDesc{"k", KernelClass::Blas3, 1000, 0}, {});
   }
   m.sync_all();
   std::ostringstream os;
-  print_trace_summary(m, os);
+  print_trace_summary(m, spans, os);
   const std::string s = os.str();
   EXPECT_NE(s.find("3 records dropped at the trace cap of 2"),
             std::string::npos);
 }
 
 TEST(TraceCap, NoDropMessageUnderLimit) {
-  auto m = traced_machine();
+  Traced t;
   std::ostringstream os;
-  print_trace_summary(m, os);
+  print_trace_summary(t.m, t.spans, os);
   EXPECT_EQ(os.str().find("dropped"), std::string::npos);
 }
 
 TEST(ChromeTrace, MergesObsInstantEvents) {
-  auto m = traced_machine();
+  Traced t;
   std::vector<obs::Event> events;
   obs::Event v;
   v.kind = obs::EventKind::Verification;
@@ -161,7 +177,7 @@ TEST(ChromeTrace, MergesObsInstantEvents) {
   v.pass = false;
   events.push_back(v);
   std::ostringstream os;
-  write_chrome_trace(m, events, os);
+  write_chrome_trace(t.spans, os, events);
   const std::string s = os.str();
   EXPECT_NE(s.find("\"cat\":\"verification\""), std::string::npos);
   EXPECT_NE(s.find("\"ph\":\"i\""), std::string::npos);
@@ -174,7 +190,7 @@ TEST(ChromeTrace, MergesObsInstantEvents) {
 TEST(ChromeTrace, ObsKernelEventsAreNotDuplicated) {
   // Kernel/Copy obs events mirror the machine's own trace records; the
   // merger must render spans from the trace only.
-  auto m = traced_machine();
+  Traced t;
   std::vector<obs::Event> events;
   obs::Event k;
   k.kind = obs::EventKind::Kernel;
@@ -183,7 +199,7 @@ TEST(ChromeTrace, ObsKernelEventsAreNotDuplicated) {
   k.end = 1e-3;
   events.push_back(k);
   std::ostringstream os;
-  write_chrome_trace(m, events, os);
+  write_chrome_trace(t.spans, os, events);
   const std::string s = os.str();
   std::size_t hits = 0;
   for (auto p = s.find("\"name\":\"work\""); p != std::string::npos;
@@ -193,8 +209,27 @@ TEST(ChromeTrace, ObsKernelEventsAreNotDuplicated) {
   EXPECT_EQ(hits, 1u);
 }
 
+TEST(ChromeTrace, EscapesControlCharacters) {
+  // Event names and details are free text: control bytes must leave as
+  // JSON escapes, never raw, or strict parsers reject the document.
+  Traced t;
+  std::vector<obs::Event> events;
+  obs::Event note;
+  note.kind = obs::EventKind::Note;
+  note.lane = kHostLane;
+  note.name = "note\x01";
+  note.detail = "a\nb\tc";
+  events.push_back(note);
+  std::ostringstream os;
+  write_chrome_trace(t.spans, os, events);
+  const std::string s = os.str();
+  for (unsigned char c : s) EXPECT_GE(c, 0x20) << "raw control byte";
+  EXPECT_NE(s.find(R"("detail":"a\nb\tc")"), std::string::npos);
+  EXPECT_NE(s.find(R"("name":"note\u0001")"), std::string::npos);
+}
+
 TEST(ChromeTrace, FlowNeedsInjectionAndDetection) {
-  auto m = traced_machine();
+  Traced t;
   std::vector<obs::Event> events;
   obs::Event inj;
   inj.kind = obs::EventKind::FaultInjected;
@@ -205,7 +240,7 @@ TEST(ChromeTrace, FlowNeedsInjectionAndDetection) {
   // Injection alone: no flow arrows.
   {
     std::ostringstream os;
-    write_chrome_trace(m, events, os);
+    write_chrome_trace(t.spans, os, events);
     EXPECT_EQ(os.str().find("\"ph\":\"s\""), std::string::npos);
   }
   obs::Event det;
@@ -216,7 +251,7 @@ TEST(ChromeTrace, FlowNeedsInjectionAndDetection) {
   events.push_back(det);
   {
     std::ostringstream os;
-    write_chrome_trace(m, events, os);
+    write_chrome_trace(t.spans, os, events);
     const std::string s = os.str();
     EXPECT_NE(s.find("\"ph\":\"s\""), std::string::npos);
     EXPECT_NE(s.find("\"ph\":\"f\""), std::string::npos);

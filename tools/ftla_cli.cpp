@@ -242,9 +242,7 @@ int main(int argc, char** argv) {
   sim::Machine machine(profile, numeric ? sim::ExecutionMode::Numeric
                                         : sim::ExecutionMode::TimingOnly);
   const bool want_timeseries = !args.timeseries_path.empty();
-  const bool want_trace =
-      !args.trace_path.empty() || args.summary || want_timeseries;
-  machine.set_trace_enabled(want_trace);
+  const bool want_profile = !args.profile_path.empty();
 
   // Telemetry capture: one event sink + metrics registry shared by the
   // simulator, the fault injector and the ABFT driver.
@@ -258,19 +256,20 @@ int main(int argc, char** argv) {
     g_recorder.attach_metrics(&metrics);
   }
 
-  // Profiler capture: the span store collects every simulated activity
-  // from the machine while the driver tags ABFT phases and iterations
-  // on the same store (the wiring convention of docs/observability.md).
-  const bool want_profile = !args.profile_path.empty();
+  // Span capture: one store collects every simulated activity from the
+  // machine while the driver tags ABFT phases and iterations on it (the
+  // wiring convention of docs/observability.md). The trace, summary,
+  // time-series occupancy and profile outputs are all views of it.
+  const bool want_spans = !args.trace_path.empty() || args.summary ||
+                          want_timeseries || want_profile;
   obs::SpanStore spans;
-  if (want_profile) {
-    machine.set_span_store(&spans);
-    g_recorder.attach_spans(&spans);
-  }
+  obs::SpanStore* const span_store = want_spans ? &spans : nullptr;
+  machine.set_span_store(span_store);
+  if (want_profile) g_recorder.attach_spans(&spans);
 
   // Time-series capture: verification progress from the telemetry layer
   // lands here during the run; resource occupancy is derived from the
-  // trace afterwards.
+  // spans afterwards.
   obs::TimeSeriesStore timeseries;
 
   Matrix<double> a;
@@ -306,7 +305,7 @@ int main(int argc, char** argv) {
     opt.event_sink = &sink;
     opt.metrics = &metrics;
   }
-  if (want_profile) opt.profile = &spans;
+  opt.profile = span_store;
   if (want_timeseries) opt.timeseries = &timeseries;
 
   const int block = abft::resolve_block_size(profile, opt);
@@ -342,7 +341,7 @@ int main(int argc, char** argv) {
       qopt.event_sink = &sink;
       qopt.metrics = &metrics;
     }
-    if (want_profile) qopt.profile = &spans;
+    qopt.profile = span_store;
     if (want_timeseries) qopt.timeseries = &timeseries;
     res = abft::qr(machine, ap, numeric ? &tau : nullptr, args.n, qopt, inj);
   } else if (args.algo == "lu") {
@@ -360,7 +359,7 @@ int main(int argc, char** argv) {
       lopt.event_sink = &sink;
       lopt.metrics = &metrics;
     }
-    if (want_profile) lopt.profile = &spans;
+    lopt.profile = span_store;
     if (want_timeseries) lopt.timeseries = &timeseries;
     res = abft::lu(machine, ap, args.n, lopt, inj);
   } else if (args.algo != "cholesky") {
@@ -434,10 +433,9 @@ int main(int argc, char** argv) {
     // NaN-safe: a NaN residual must classify as corrupt.
     if (!(resid < 1e-6)) exit_code = fault::kExitSdc;
   }
-  if (args.summary) sim::print_trace_summary(machine, std::cout);
+  if (args.summary) sim::print_trace_summary(machine, spans, std::cout);
   if (!args.trace_path.empty()) {
-    if (sim::write_chrome_trace_file(machine, sink.events(),
-                                     args.trace_path)) {
+    if (sim::write_chrome_trace_file(spans, args.trace_path, sink.events())) {
       std::printf("chrome trace      : %s (open in chrome://tracing or "
                   "ui.perfetto.dev)\n",
                   args.trace_path.c_str());
@@ -447,7 +445,7 @@ int main(int argc, char** argv) {
     }
   }
   if (want_timeseries) {
-    sim::append_machine_timeseries(machine, &timeseries);
+    sim::append_machine_timeseries(machine, spans, &timeseries);
     const double window = args.timeseries_window > 0.0
                               ? args.timeseries_window
                               : machine.makespan() / 20.0;
@@ -510,10 +508,8 @@ int main(int argc, char** argv) {
       m.counter("faults.pending") = injector.pending_count();
     }
     m.set_gauge("sim.makespan_s", machine.makespan());
-    m.counter("sim.trace_records") =
-        static_cast<long long>(machine.trace().size());
-    m.counter("sim.trace_dropped") =
-        static_cast<long long>(machine.trace_dropped());
+    m.counter("sim.trace_records") = static_cast<long long>(spans.size());
+    m.counter("sim.trace_dropped") = static_cast<long long>(spans.dropped());
     m.counter("obs.events_posted") = sink.posted();
     m.counter("obs.events_dropped") = static_cast<long long>(sink.dropped());
     if (want_profile) {
