@@ -197,4 +197,21 @@ class Histogram {
   Stats stats_;
 };
 
+namespace common {
+
+/// Exact nearest-rank percentile over ascending-sorted samples: the
+/// value at rank max(1, ceil(p/100 * n)) for p clamped to [0, 100], and
+/// 0 when empty. This is the Histogram::percentile rule, exact because
+/// the raw samples are kept; p = 0 gives the smallest sample.
+[[nodiscard]] inline double nearest_rank(const std::vector<double>& sorted,
+                                         double p) {
+  if (sorted.empty()) return 0.0;
+  const double clamped = std::min(100.0, std::max(0.0, p));
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(clamped / 100.0 * static_cast<double>(sorted.size())));
+  return sorted[std::clamp<std::size_t>(rank, 1, sorted.size()) - 1];
+}
+
+}  // namespace common
+
 }  // namespace ftla

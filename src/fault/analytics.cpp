@@ -1,7 +1,6 @@
 #include "fault/analytics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -14,19 +13,6 @@
 namespace ftla::fault {
 
 namespace {
-
-// Nearest-rank percentile over an ascending-sorted vector (the same
-// contract as Histogram::percentile, exact because the raw samples are
-// kept).
-double nearest_rank(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double clamped = std::min(100.0, std::max(0.0, p));
-  auto rank = static_cast<std::size_t>(
-      std::ceil(clamped / 100.0 * static_cast<double>(sorted.size())));
-  if (rank < 1) rank = 1;
-  if (rank > sorted.size()) rank = sorted.size();
-  return sorted[rank - 1];
-}
 
 HistogramSummary summarize(const Histogram& h) {
   HistogramSummary s;
@@ -171,9 +157,9 @@ CampaignAnalytics aggregate_campaign(const CampaignSummary& summary) {
     double sum = 0.0;
     for (const double r : samples) sum += r;
     st.mean = sum / static_cast<double>(samples.size());
-    st.p50 = nearest_rank(samples, 50.0);
-    st.p95 = nearest_rank(samples, 95.0);
-    st.p99 = nearest_rank(samples, 99.0);
+    st.p50 = common::nearest_rank(samples, 50.0);
+    st.p95 = common::nearest_rank(samples, 95.0);
+    st.p99 = common::nearest_rank(samples, 99.0);
     out.overhead.emplace(key, st);
   }
   return out;

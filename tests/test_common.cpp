@@ -267,6 +267,17 @@ TEST(Histogram, PercentilesOnUniformGrid) {
   EXPECT_DOUBLE_EQ(h.percentile(100.0), 100.0);
 }
 
+TEST(NearestRank, EdgesAndMidRank) {
+  EXPECT_EQ(common::nearest_rank({}, 50.0), 0.0);
+  const std::vector<double> sorted = {1.0, 2.0, 3.0, 4.0, 5.0,
+                                      6.0, 7.0, 8.0, 9.0, 10.0};
+  EXPECT_EQ(common::nearest_rank(sorted, 0.0), 1.0);  // rank clamps to 1
+  EXPECT_EQ(common::nearest_rank(sorted, 100.0), 10.0);
+  EXPECT_EQ(common::nearest_rank(sorted, 50.0), 5.0);   // ceil(5.0) = 5
+  EXPECT_EQ(common::nearest_rank(sorted, 51.0), 6.0);   // ceil(5.1) = 6
+  EXPECT_EQ(common::nearest_rank(sorted, 99.0), 10.0);  // ceil(9.9) = 10
+}
+
 TEST(Histogram, EmptyIsSafe) {
   Histogram h;
   EXPECT_EQ(h.count(), 0);
