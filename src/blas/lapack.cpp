@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "blas/level1.hpp"
 #include "blas/level3.hpp"
+#include "blas/scaled_ssq.hpp"
 #include "common/error.hpp"
 
 namespace ftla::blas {
+
+namespace {
+
+// The max fold of LAPACK dlange: a NaN operand wins and then sticks, so
+// a NaN entry cannot hide behind a finite maximum (std::max drops it).
+double nan_max(double v, double x) {
+  return v < x || std::isnan(x) ? x : v;
+}
+
+}  // namespace
 
 void potf2(MatrixView<double> a) {
   const int n = a.rows();
@@ -95,30 +107,27 @@ double lu_residual(ConstMatrixView<double> a_original,
                    ConstMatrixView<double> lu) {
   const int n = a_original.rows();
   FTLA_CHECK(a_original.cols() == n && lu.rows() == n && lu.cols() == n);
-  double scale = 0.0, ssq = 1.0;
+  // Column j of L U is sum_{k<j} L(k+1:n, k) U(k, j), plus U(0:j+1, j)
+  // on and above the diagonal and L(j+1:n, j) U(j, j) below it (L is
+  // unit-lower). Every inner loop walks a column; each entry sums its
+  // products in the same k order as a row-times-column dot product.
+  std::vector<double> w(static_cast<std::size_t>(n));
+  detail::ScaledSsq num;
   for (int j = 0; j < n; ++j) {
-    for (int i = 0; i < n; ++i) {
-      // (L U)(i,j) = sum_k L(i,k) U(k,j), k <= min(i, j); L unit-lower.
-      const int kmax = std::min(i, j);
-      double s = 0.0;
-      for (int k = 0; k < kmax; ++k) s += lu(i, k) * lu(k, j);
-      s += i <= j ? lu(i, j) : lu(i, j) * lu(j, j);
-      const double r = std::abs(a_original(i, j) - s);
-      if (r != 0.0) {
-        if (scale < r) {
-          const double q = scale / r;
-          ssq = 1.0 + ssq * q * q;
-          scale = r;
-        } else {
-          const double q = r / scale;
-          ssq += q * q;
-        }
-      }
+    std::fill(w.begin(), w.end(), 0.0);
+    for (int k = 0; k < j; ++k) {
+      const double ukj = lu(k, j);
+      const double* lk = &lu(0, k);
+      for (int i = k + 1; i < n; ++i) w[i] += lk[i] * ukj;
     }
+    const double* aj = &a_original(0, j);
+    const double* uj = &lu(0, j);
+    const double ujj = uj[j];
+    for (int i = 0; i <= j; ++i) num.add(aj[i] - (w[i] + uj[i]));
+    for (int i = j + 1; i < n; ++i) num.add(aj[i] - (w[i] + uj[i] * ujj));
   }
-  const double num = scale * std::sqrt(ssq);
   const double den = lange(Norm::Fro, a_original);
-  return den > 0.0 ? num / den : num;
+  return den > 0.0 ? num.norm() / den : num.norm();
 }
 
 void potrs(ConstMatrixView<double> l, MatrixView<double> b) {
@@ -135,7 +144,7 @@ double lange(Norm norm, ConstMatrixView<double> a) {
     case Norm::Max: {
       double v = 0.0;
       for (int j = 0; j < n; ++j)
-        for (int i = 0; i < m; ++i) v = std::max(v, std::abs(a(i, j)));
+        for (int i = 0; i < m; ++i) v = nan_max(v, std::abs(a(i, j)));
       return v;
     }
     case Norm::One: {
@@ -143,7 +152,7 @@ double lange(Norm norm, ConstMatrixView<double> a) {
       for (int j = 0; j < n; ++j) {
         double col = 0.0;
         for (int i = 0; i < m; ++i) col += std::abs(a(i, j));
-        v = std::max(v, col);
+        v = nan_max(v, col);
       }
       return v;
     }
@@ -151,27 +160,15 @@ double lange(Norm norm, ConstMatrixView<double> a) {
       std::vector<double> row(static_cast<std::size_t>(m), 0.0);
       for (int j = 0; j < n; ++j)
         for (int i = 0; i < m; ++i) row[i] += std::abs(a(i, j));
-      return m ? *std::max_element(row.begin(), row.end()) : 0.0;
+      double v = 0.0;
+      for (const double r : row) v = nan_max(v, r);
+      return v;
     }
     case Norm::Fro: {
-      // Scaled accumulation, same idea as nrm2.
-      double scale = 0.0;
-      double ssq = 1.0;
-      for (int j = 0; j < n; ++j) {
-        for (int i = 0; i < m; ++i) {
-          const double x = std::abs(a(i, j));
-          if (x == 0.0) continue;
-          if (scale < x) {
-            const double r = scale / x;
-            ssq = 1.0 + ssq * r * r;
-            scale = x;
-          } else {
-            const double r = x / scale;
-            ssq += r * r;
-          }
-        }
-      }
-      return scale * std::sqrt(ssq);
+      detail::ScaledSsq f;
+      for (int j = 0; j < n; ++j)
+        for (int i = 0; i < m; ++i) f.add(a(i, j));
+      return f.norm();
     }
   }
   return 0.0;
@@ -181,30 +178,25 @@ double cholesky_residual(ConstMatrixView<double> a_original,
                          ConstMatrixView<double> l) {
   const int n = a_original.rows();
   FTLA_CHECK(a_original.cols() == n && l.rows() == n && l.cols() == n);
-  // Reconstruct the lower triangle of L L^T and compare with A.
-  double num_scale = 0.0, num_ssq = 1.0;
+  // Reconstruct the lower triangle of L L^T one column at a time:
+  // (L L^T)(j:n, j) = sum_{k<=j} L(j:n, k) L(j, k). Every inner loop
+  // walks a column of L, only the lower triangles are read, and each
+  // entry sums its products in the same k order as a row-wise dot.
+  std::vector<double> w(static_cast<std::size_t>(n));
+  detail::ScaledSsq num;
   for (int j = 0; j < n; ++j) {
-    for (int i = j; i < n; ++i) {
-      // (L L^T)(i,j) = dot(L(i, 0:min(i,j)), L(j, 0:min(i,j))); with
-      // i >= j the shared prefix length is j+1.
-      double s = 0.0;
-      for (int k = 0; k <= j; ++k) s += l(i, k) * l(j, k);
-      const double r = std::abs(a_original(i, j) - s);
-      if (r != 0.0) {
-        if (num_scale < r) {
-          const double q = num_scale / r;
-          num_ssq = 1.0 + num_ssq * q * q;
-          num_scale = r;
-        } else {
-          const double q = r / num_scale;
-          num_ssq += q * q;
-        }
-      }
+    const int len = n - j;
+    std::fill_n(w.begin(), len, 0.0);
+    for (int k = 0; k <= j; ++k) {
+      const double ljk = l(j, k);
+      const double* lk = &l(j, k);
+      for (int r = 0; r < len; ++r) w[r] += lk[r] * ljk;
     }
+    const double* aj = &a_original(j, j);
+    for (int r = 0; r < len; ++r) num.add(aj[r] - w[r]);
   }
-  const double num = num_scale * std::sqrt(num_ssq);
   const double den = lange(Norm::Fro, a_original);
-  return den > 0.0 ? num / den : num;
+  return den > 0.0 ? num.norm() / den : num.norm();
 }
 
 double max_abs_diff(ConstMatrixView<double> a, ConstMatrixView<double> b) {
@@ -212,7 +204,7 @@ double max_abs_diff(ConstMatrixView<double> a, ConstMatrixView<double> b) {
   double v = 0.0;
   for (int j = 0; j < a.cols(); ++j)
     for (int i = 0; i < a.rows(); ++i)
-      v = std::max(v, std::abs(a(i, j) - b(i, j)));
+      v = nan_max(v, std::abs(a(i, j) - b(i, j)));
   return v;
 }
 

@@ -42,7 +42,8 @@ void getrf_nopiv(MatrixView<double> a, int nb = 64);
 double lu_residual(ConstMatrixView<double> a_original,
                    ConstMatrixView<double> lu);
 
-/// Matrix norm of a general rectangular view.
+/// Matrix norm of a general rectangular view. As in LAPACK dlange, a
+/// NaN entry makes every norm NaN.
 double lange(Norm norm, ConstMatrixView<double> a);
 
 /// Relative factorization residual ||A - L L^T||_F / ||A||_F, using only
@@ -50,7 +51,8 @@ double lange(Norm norm, ConstMatrixView<double> a);
 double cholesky_residual(ConstMatrixView<double> a_original,
                          ConstMatrixView<double> l);
 
-/// Max absolute elementwise difference between two equally sized views.
+/// Max absolute elementwise difference between two equally sized views;
+/// NaN if any difference is NaN.
 double max_abs_diff(ConstMatrixView<double> a, ConstMatrixView<double> b);
 
 }  // namespace ftla::blas

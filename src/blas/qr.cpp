@@ -6,6 +6,7 @@
 #include "blas/level1.hpp"
 #include "blas/level3.hpp"
 #include "blas/lapack.hpp"
+#include "blas/scaled_ssq.hpp"
 #include "common/error.hpp"
 
 namespace ftla::blas {
@@ -169,31 +170,27 @@ double qr_residual(ConstMatrixView<double> a_original,
   const int n = a_original.rows();
   FTLA_CHECK(a_original.cols() == n && packed.rows() == n &&
              packed.cols() == n);
-  // A_rec = Q [R] with R the upper triangle of the packed factor.
+  // A_rec = Q [R] = H_0 H_1 ... H_{n-1} [R] with R the upper triangle of
+  // the packed factor, so H_{n-1} applies first. Column c of [R] is zero
+  // below row c and H_j touches only rows j.., so every H_j with j > c
+  // meets zeros in column c and leaves it as it is. Applying H_j to
+  // columns j.. only thus gives apply_q's bits for finite factors, with
+  // two thirds of the work (n^3/3 element updates instead of n^3/2).
   Matrix<double> rec(n, n, 0.0);
   for (int j = 0; j < n; ++j) {
     for (int i = 0; i <= j; ++i) rec(i, j) = packed(i, j);
   }
-  apply_q(packed, tau, rec.view(), /*transpose=*/false);
-  double scale = 0.0, ssq = 1.0;
-  for (int j = 0; j < n; ++j) {
-    for (int i = 0; i < n; ++i) {
-      const double r = std::abs(a_original(i, j) - rec(i, j));
-      if (r != 0.0) {
-        if (scale < r) {
-          const double q = scale / r;
-          ssq = 1.0 + ssq * q * q;
-          scale = r;
-        } else {
-          const double q = r / scale;
-          ssq += q * q;
-        }
-      }
-    }
+  for (int j = n - 1; j >= 0; --j) {
+    const int tail = n - j - 1;
+    apply_reflector(tau[j], tail > 0 ? &packed(j + 1, j) : nullptr, tail,
+                    rec.block(j, j, n - j, n - j));
   }
-  const double num = scale * std::sqrt(ssq);
+  detail::ScaledSsq num;
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < n; ++i) num.add(a_original(i, j) - rec(i, j));
+  }
   const double den = lange(Norm::Fro, a_original);
-  return den > 0.0 ? num / den : num;
+  return den > 0.0 ? num.norm() / den : num.norm();
 }
 
 }  // namespace ftla::blas

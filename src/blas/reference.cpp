@@ -1,7 +1,10 @@
 #include "blas/reference.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "blas/lapack.hpp"
+#include "blas/qr.hpp"
 #include "common/error.hpp"
 
 namespace ftla::blas::ref {
@@ -164,6 +167,98 @@ void potrf(MatrixView<double> a) {
       a(i, j) = s / d;
     }
   }
+}
+
+double cholesky_residual(ConstMatrixView<double> a_original,
+                         ConstMatrixView<double> l) {
+  const int n = a_original.rows();
+  FTLA_CHECK(a_original.cols() == n && l.rows() == n && l.cols() == n);
+  // Reconstruct the lower triangle of L L^T and compare with A.
+  double num_scale = 0.0, num_ssq = 1.0;
+  for (int j = 0; j < n; ++j) {
+    for (int i = j; i < n; ++i) {
+      // (L L^T)(i,j) = dot(L(i, 0:min(i,j)), L(j, 0:min(i,j))); with
+      // i >= j the shared prefix length is j+1.
+      double s = 0.0;
+      for (int k = 0; k <= j; ++k) s += l(i, k) * l(j, k);
+      const double r = std::abs(a_original(i, j) - s);
+      if (r != 0.0) {
+        if (num_scale < r) {
+          const double q = num_scale / r;
+          num_ssq = 1.0 + num_ssq * q * q;
+          num_scale = r;
+        } else {
+          const double q = r / num_scale;
+          num_ssq += q * q;
+        }
+      }
+    }
+  }
+  const double num = num_scale * std::sqrt(num_ssq);
+  const double den = lange(Norm::Fro, a_original);
+  return den > 0.0 ? num / den : num;
+}
+
+double lu_residual(ConstMatrixView<double> a_original,
+                   ConstMatrixView<double> lu) {
+  const int n = a_original.rows();
+  FTLA_CHECK(a_original.cols() == n && lu.rows() == n && lu.cols() == n);
+  double scale = 0.0, ssq = 1.0;
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < n; ++i) {
+      // (L U)(i,j) = sum_k L(i,k) U(k,j), k <= min(i, j); L unit-lower.
+      const int kmax = std::min(i, j);
+      double s = 0.0;
+      for (int k = 0; k < kmax; ++k) s += lu(i, k) * lu(k, j);
+      s += i <= j ? lu(i, j) : lu(i, j) * lu(j, j);
+      const double r = std::abs(a_original(i, j) - s);
+      if (r != 0.0) {
+        if (scale < r) {
+          const double q = scale / r;
+          ssq = 1.0 + ssq * q * q;
+          scale = r;
+        } else {
+          const double q = r / scale;
+          ssq += q * q;
+        }
+      }
+    }
+  }
+  const double num = scale * std::sqrt(ssq);
+  const double den = lange(Norm::Fro, a_original);
+  return den > 0.0 ? num / den : num;
+}
+
+double qr_residual(ConstMatrixView<double> a_original,
+                   ConstMatrixView<double> packed, const double* tau) {
+  const int n = a_original.rows();
+  FTLA_CHECK(a_original.cols() == n && packed.rows() == n &&
+             packed.cols() == n);
+  // A_rec = Q [R] with R the upper triangle of the packed factor.
+  Matrix<double> rec(n, n, 0.0);
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i <= j; ++i) rec(i, j) = packed(i, j);
+  }
+  apply_q(packed, tau, rec.view(), /*transpose=*/false);
+  double scale = 0.0, ssq = 1.0;
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < n; ++i) {
+      const double r = std::abs(a_original(i, j) - rec(i, j));
+      if (r != 0.0) {
+        if (scale < r) {
+          const double q = scale / r;
+          ssq = 1.0 + ssq * q * q;
+          scale = r;
+        } else {
+          const double q = r / scale;
+          ssq += q * q;
+        }
+      }
+    }
+  }
+  const double num = scale * std::sqrt(ssq);
+  const double den = lange(Norm::Fro, a_original);
+  return den > 0.0 ? num / den : num;
 }
 
 }  // namespace ftla::blas::ref

@@ -1,8 +1,8 @@
 // Deliberately naive, obviously-correct reference implementations used
-// as test oracles for the optimized routines in level2/level3. They are
-// written element-wise with a generic op() accessor — a completely
-// different code shape from the production loops — so a shared bug is
-// unlikely.
+// as test oracles for the optimized routines in level2/level3 and for
+// the residual oracles in lapack/qr. They are written element-wise — a
+// completely different code shape from the production loops — so a
+// shared bug is unlikely.
 #pragma once
 
 #include "blas/types.hpp"
@@ -27,5 +27,16 @@ void gemv(Trans trans, double alpha, ConstMatrixView<double> a,
 
 /// Cholesky by the textbook jik formula (no BLAS calls at all).
 void potrf(MatrixView<double> a);
+
+/// Conformance twins of the residual oracles in blas/lapack and blas/qr:
+/// the same quantities, computed element by element with each entry's
+/// dot product read along rows (Cholesky, LU) or with every reflector
+/// applied to every column (QR).
+double cholesky_residual(ConstMatrixView<double> a_original,
+                         ConstMatrixView<double> l);
+double lu_residual(ConstMatrixView<double> a_original,
+                   ConstMatrixView<double> lu);
+double qr_residual(ConstMatrixView<double> a_original,
+                   ConstMatrixView<double> packed, const double* tau);
 
 }  // namespace ftla::blas::ref

@@ -11,6 +11,7 @@
 #include <ostream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "abft/cholesky.hpp"
 #include "abft/lu.hpp"
@@ -183,16 +184,24 @@ ScenarioResult run_scenario(const Scenario& sc) {
       case Algo::Cholesky:
         out.residual = blas::cholesky_residual(pristine.view(), a.view());
         if (std::getenv("FTLA_CAMPAIGN_DEBUG") != nullptr) {
+          // Column j of A - L L^T: w = A(j:n, j) - sum_k L(j:n, k) L(j, k),
+          // walked down columns like the oracle itself.
           double worst = 0.0;
           int wi = -1;
           int wj = -1;
+          std::vector<double> w(static_cast<std::size_t>(n));
           for (int jj = 0; jj < n; ++jj) {
-            for (int ii = jj; ii < n; ++ii) {
-              double r = pristine(ii, jj);
-              for (int kk = 0; kk <= jj; ++kk) r -= a(ii, kk) * a(jj, kk);
-              if (std::abs(r) > worst) {
-                worst = std::abs(r);
-                wi = ii;
+            const int len = n - jj;
+            std::copy_n(&pristine(jj, jj), len, w.begin());
+            for (int kk = 0; kk <= jj; ++kk) {
+              const double ljk = a(jj, kk);
+              const double* lk = &a(jj, kk);
+              for (int r = 0; r < len; ++r) w[r] -= lk[r] * ljk;
+            }
+            for (int r = 0; r < len; ++r) {
+              if (std::abs(w[r]) > worst) {
+                worst = std::abs(w[r]);
+                wi = jj + r;
                 wj = jj;
               }
             }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "blas/lapack.hpp"
 #include "blas/level3.hpp"
@@ -15,6 +18,11 @@ namespace {
 
 using test::random_matrix;
 using test::random_spd;
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// The campaign and service verdict threshold on a residual.
+constexpr double kVerdict = 1e-6;
 
 class PotrfSizes : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -133,6 +141,133 @@ TEST(MaxAbsDiff, Basics) {
   EXPECT_EQ(max_abs_diff(a.view(), b.view()), 0.0);
   b(2, 2) += 0.25;
   EXPECT_DOUBLE_EQ(max_abs_diff(a.view(), b.view()), 0.25);
+}
+
+TEST(Lange, NanPropagatesThroughEveryNorm) {
+  // LAPACK dlange semantics: one NaN entry, wherever it sits in the
+  // visiting order, makes every norm NaN.
+  for (const Norm norm : {Norm::Max, Norm::One, Norm::Inf, Norm::Fro}) {
+    for (const auto& [i, j] :
+         {std::pair{0, 0}, std::pair{1, 2}, std::pair{2, 3}}) {
+      auto a = random_matrix(3, 4, 8);
+      a(i, j) = kNan;
+      SCOPED_TRACE("norm " + std::to_string(static_cast<int>(norm)) +
+                   " at (" + std::to_string(i) + "," + std::to_string(j) +
+                   ")");
+      EXPECT_TRUE(std::isnan(lange(norm, a.view())));
+    }
+  }
+}
+
+TEST(MaxAbsDiff, NanPropagates) {
+  const auto a = random_matrix(4, 4, 9);
+  for (const auto& [i, j] : {std::pair{0, 0}, std::pair{3, 3}}) {
+    auto b = a;
+    b(i, j) = kNan;
+    EXPECT_TRUE(std::isnan(max_abs_diff(a.view(), b.view())));
+  }
+}
+
+// ---------------- residual oracles against their naive twins ---------
+
+// The fast oracle against its naive twin: close agreement, and the same
+// verdict at the campaign threshold.
+void expect_twins_agree(double fast, double naive) {
+  if (fast < 1e-12 && naive < 1e-12) {
+    EXPECT_NEAR(fast, naive, 1e-13);
+  } else {
+    EXPECT_LE(std::abs(fast - naive), 1e-10 * std::abs(naive))
+        << "fast " << fast << " naive " << naive;
+  }
+  EXPECT_EQ(fast < kVerdict, naive < kVerdict);
+}
+
+constexpr double kPerturbations[] = {1e-9, 1e-6, 1e-3, 1.0};
+
+class ResidualTwins : public ::testing::TestWithParam<int> {};
+
+TEST_P(ResidualTwins, CholeskyMatchesNaive) {
+  const int n = GetParam();
+  const auto a = random_spd(n, 100 + n);
+  auto l = a;
+  potrf(l.view());
+  auto abuf = test::nan_padded(a, /*lower_only=*/true);
+  auto lbuf = test::nan_padded(l, /*lower_only=*/true);
+  const auto av = test::nan_padded_view(abuf);
+  const auto lv = test::nan_padded_view(lbuf);
+  const double clean = cholesky_residual(av, lv);
+  EXPECT_LT(clean, 1e-11);
+  expect_twins_agree(clean, ref::cholesky_residual(av, lv));
+  const int i = n - 1;
+  const int j = n / 2;
+  const double keep = lv(i, j);
+  for (const double d : kPerturbations) {
+    SCOPED_TRACE("perturbation " + std::to_string(d));
+    lv(i, j) = keep + d;
+    expect_twins_agree(cholesky_residual(av, lv),
+                       ref::cholesky_residual(av, lv));
+  }
+}
+
+TEST_P(ResidualTwins, LuMatchesNaive) {
+  const int n = GetParam();
+  const auto a = random_spd(n, 200 + n);
+  auto lu = a;
+  getrf_nopiv(lu.view());
+  auto abuf = test::nan_padded(a, /*lower_only=*/false);
+  auto lubuf = test::nan_padded(lu, /*lower_only=*/false);
+  const auto av = test::nan_padded_view(abuf);
+  const auto luv = test::nan_padded_view(lubuf);
+  const double clean = lu_residual(av, luv);
+  EXPECT_LT(clean, 1e-11);
+  expect_twins_agree(clean, ref::lu_residual(av, luv));
+  // One entry of L (below the diagonal) and one of U (above it).
+  for (const auto& [i, j] :
+       {std::pair{n - 1, n / 3}, std::pair{n / 3, n - 1}}) {
+    const double keep = luv(i, j);
+    for (const double d : kPerturbations) {
+      SCOPED_TRACE("perturbation " + std::to_string(d) + " at (" +
+                   std::to_string(i) + "," + std::to_string(j) + ")");
+      luv(i, j) = keep + d;
+      expect_twins_agree(lu_residual(av, luv), ref::lu_residual(av, luv));
+    }
+    luv(i, j) = keep;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ResidualTwins,
+                         ::testing::Values(1, 2, 7, 16, 48, 64, 80, 255, 256,
+                                           257, 384, 512));
+
+TEST(ResidualOracles, NonFiniteReadEntryReadsAsCorrupt) {
+  // A NaN or Inf the oracle reads must never pass the verdict: the
+  // residual comes out NaN or at least the threshold, fast and naive.
+  const int n = 16;
+  const auto a = random_spd(n, 11);
+  auto l = a;
+  potrf(l.view());
+  auto lu = a;
+  getrf_nopiv(lu.view());
+  auto corrupt = [](double r) { return std::isnan(r) || r >= kVerdict; };
+  for (const double bad : {kNan, kInf, -kInf}) {
+    for (const auto& [i, j] :
+         {std::pair{0, 0}, std::pair{n - 1, 0}, std::pair{9, 4},
+          std::pair{n - 1, n - 1}}) {
+      SCOPED_TRACE(std::to_string(bad) + " at (" + std::to_string(i) + "," +
+                   std::to_string(j) + ")");
+      auto lc = l;
+      lc(i, j) = bad;
+      EXPECT_TRUE(corrupt(cholesky_residual(a.view(), lc.view())));
+      EXPECT_TRUE(corrupt(ref::cholesky_residual(a.view(), lc.view())));
+      // The same entry in L and its mirror in U.
+      for (const auto& [r, c] : {std::pair{i, j}, std::pair{j, i}}) {
+        auto luc = lu;
+        luc(r, c) = bad;
+        EXPECT_TRUE(corrupt(lu_residual(a.view(), luc.view())));
+        EXPECT_TRUE(corrupt(ref::lu_residual(a.view(), luc.view())));
+      }
+    }
+  }
 }
 
 TEST(Potrf, AgreesWithGramConstruction) {

@@ -3,12 +3,17 @@
 // property, and the fault-tolerant QR driver.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "abft/qr.hpp"
 #include "blas/lapack.hpp"
 #include "blas/level3.hpp"
 #include "blas/qr.hpp"
+#include "blas/reference.hpp"
 #include "sim/profile.hpp"
 #include "test_util.hpp"
 
@@ -100,6 +105,87 @@ TEST(Larfb, MatchesSequentialReflectors) {
   blas::larfb_left_t(panel.view(), t.view(), c1.view());
   blas::apply_q(panel.view(), tau.data(), c2.view(), /*transpose=*/true);
   EXPECT_MATRIX_NEAR(c1, c2, 1e-11);
+}
+
+// --------------- residual oracle against its naive twin ---------------
+
+class QrResidualTwins : public ::testing::TestWithParam<int> {};
+
+TEST_P(QrResidualTwins, BitIdenticalToNaive) {
+  // Applying H_j to columns j.. only skips work on columns that are
+  // still zero below their diagonal, so for finite factors the residual
+  // must match the every-column twin bit for bit.
+  const int n = GetParam();
+  const auto a = test::random_matrix(n, n, 300 + n);
+  auto packed = a;
+  std::vector<double> tau(n);
+  blas::geqrf(packed.view(), tau.data(), 32);
+  auto abuf = test::nan_padded(a, /*lower_only=*/false);
+  auto pbuf = test::nan_padded(packed, /*lower_only=*/false);
+  const auto av = test::nan_padded_view(abuf);
+  const auto pv = test::nan_padded_view(pbuf);
+  const double clean = blas::qr_residual(av, pv, tau.data());
+  EXPECT_LT(clean, 1e-13);
+  EXPECT_EQ(clean, blas::ref::qr_residual(av, pv, tau.data()));
+  // One entry of R (on/above the diagonal), one of V (below it), and
+  // one reflector scalar.
+  for (const auto& [i, j] : {std::pair{0, n - 1}, std::pair{n - 1, 0}}) {
+    const double keep = pv(i, j);
+    for (const double d : {1e-9, 1e-6, 1e-3, 1.0}) {
+      SCOPED_TRACE("perturbation " + std::to_string(d) + " at (" +
+                   std::to_string(i) + "," + std::to_string(j) + ")");
+      pv(i, j) = keep + d;
+      EXPECT_EQ(blas::qr_residual(av, pv, tau.data()),
+                blas::ref::qr_residual(av, pv, tau.data()));
+    }
+    pv(i, j) = keep;
+  }
+  const double keep_tau = tau[n / 2];
+  for (const double d : {1e-9, 1e-3, 1.0}) {
+    SCOPED_TRACE("tau perturbation " + std::to_string(d));
+    tau[n / 2] = keep_tau + d;
+    EXPECT_EQ(blas::qr_residual(av, pv, tau.data()),
+              blas::ref::qr_residual(av, pv, tau.data()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, QrResidualTwins,
+                         ::testing::Values(1, 2, 7, 16, 48, 64, 80, 255, 256,
+                                           257, 384, 512));
+
+TEST(QrResidual, NonFiniteReadEntryReadsAsCorrupt) {
+  // A NaN or Inf in R, in V or in tau must never pass the verdict, fast
+  // or naive: the residual is NaN or at least the threshold.
+  const int n = 16;
+  const auto a = test::random_matrix(n, n, 12);
+  auto packed = a;
+  std::vector<double> tau(n);
+  blas::geqrf(packed.view(), tau.data(), 8);
+  auto corrupt = [](double r) { return std::isnan(r) || r >= 1e-6; };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (const auto& [i, j] : {std::pair{0, 0}, std::pair{3, 11},
+                               std::pair{n - 1, 0}, std::pair{12, 5}}) {
+      SCOPED_TRACE(std::to_string(bad) + " at (" + std::to_string(i) + "," +
+                   std::to_string(j) + ")");
+      auto pc = packed;
+      pc(i, j) = bad;
+      EXPECT_TRUE(corrupt(blas::qr_residual(a.view(), pc.view(), tau.data())));
+      EXPECT_TRUE(
+          corrupt(blas::ref::qr_residual(a.view(), pc.view(), tau.data())));
+    }
+    for (const int j : {0, n / 2, n - 1}) {
+      SCOPED_TRACE(std::to_string(bad) + " in tau[" + std::to_string(j) +
+                   "]");
+      auto tc = tau;
+      tc[j] = bad;
+      EXPECT_TRUE(
+          corrupt(blas::qr_residual(a.view(), packed.view(), tc.data())));
+      EXPECT_TRUE(
+          corrupt(blas::ref::qr_residual(a.view(), packed.view(), tc.data())));
+    }
+  }
 }
 
 TEST(RowChecksums, InvariantUnderBlockReflector) {

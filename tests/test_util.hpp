@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "common/matrix.hpp"
@@ -58,6 +59,23 @@ inline Matrix<double> random_spd(int n, std::uint64_t seed) {
   Matrix<double> m(n, n);
   make_spd_diag_dominant(m, seed);
   return m;
+}
+
+/// A copy of square `src` at row offset 1 of an (n + 3)-row buffer, for
+/// views whose ld exceeds n. Everything outside the copy is NaN garbage:
+/// the padding rows and, with lower_only, the strict upper triangle.
+/// nan_padded_view(buf) is the n x n view of the copy.
+inline Matrix<double> nan_padded(const Matrix<double>& src,
+                                 bool lower_only) {
+  const int n = src.rows();
+  Matrix<double> buf(n + 3, n, std::numeric_limits<double>::quiet_NaN());
+  for (int j = 0; j < n; ++j)
+    for (int i = lower_only ? j : 0; i < n; ++i) buf(1 + i, j) = src(i, j);
+  return buf;
+}
+
+inline MatrixView<double> nan_padded_view(Matrix<double>& buf) {
+  return buf.block(1, 0, buf.cols(), buf.cols());
 }
 
 /// Max elementwise difference over the lower triangle only.
