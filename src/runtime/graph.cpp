@@ -25,7 +25,13 @@ struct Ready {
 void TaskGraph::link(int from, int to) {
   if (from == to) return;
   auto& preds = nodes_[static_cast<std::size_t>(to)].preds;
-  if (std::find(preds.begin(), preds.end(), from) != preds.end()) return;
+  int& stamp = last_linked_to_[static_cast<std::size_t>(from)];
+  if (to == size() - 1) {
+    if (stamp == to) return;
+    stamp = to;
+  } else if (std::find(preds.begin(), preds.end(), from) != preds.end()) {
+    return;
+  }
   preds.push_back(from);
   nodes_[static_cast<std::size_t>(from)].succs.push_back(to);
   ++edges_;
@@ -40,15 +46,10 @@ int TaskGraph::add_task(std::string name, std::vector<Footprint> footprint,
   node.body = std::move(body);
   node.opts = opts;
   nodes_.push_back(std::move(node));
+  last_linked_to_.push_back(-1);
 
   for (const Footprint& f : nodes_.back().footprint) {
-    auto it = std::lower_bound(
-        tiles_.begin(), tiles_.end(), f.tile,
-        [](const auto& entry, const TileKey& key) { return entry.first < key; });
-    if (it == tiles_.end() || !(it->first == f.tile)) {
-      it = tiles_.insert(it, {f.tile, TileState{}});
-    }
-    TileState& state = it->second;
+    TileState& state = tiles_[f.tile];
     switch (f.access) {
       case Access::Read:
         if (state.last_writer >= 0) link(state.last_writer, id);

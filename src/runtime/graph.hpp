@@ -26,9 +26,11 @@
 // (device stream, host, or inline). See docs/runtime.md.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -190,11 +192,27 @@ class TaskGraph {
     int last_writer = -1;
     std::vector<int> readers_since_write;
   };
+  struct TileHash {
+    std::size_t operator()(const TileKey& k) const noexcept {
+      std::uint64_t h = static_cast<std::uint32_t>(k.matrix);
+      h = (h << 32) ^ static_cast<std::uint32_t>(k.row);
+      h = h * 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint32_t>(k.col);
+      h ^= h >> 29;
+      h *= 0xbf58476d1ce4e5b9ULL;
+      return static_cast<std::size_t>(h ^ (h >> 32));
+    }
+  };
 
   void link(int from, int to);
 
   std::vector<TaskNode> nodes_;
-  std::vector<std::pair<TileKey, TileState>> tiles_;  // sorted by key
+  // Per node: the target of its latest edge into the then-newest node
+  // (-1 for none). Every edge into the newest node passes through this
+  // stamp, so such an edge is a duplicate exactly when the stamp names
+  // it, and inference dedupes without scanning `preds`.
+  std::vector<int> last_linked_to_;
+  // Hashed: add_task only looks tiles up, nothing walks them in order.
+  std::unordered_map<TileKey, TileState, TileHash> tiles_;
   std::int64_t edges_ = 0;
   AccessTracker* tracker_ = nullptr;  // not owned
 };

@@ -43,9 +43,16 @@ class ResourceTimeline {
   void prune(double t);
 
  private:
+  // Finds or inserts the breakpoint at `t`, seeded with the level just
+  // before it, so the level function is unchanged by the insertion.
+  std::map<double, int>::iterator breakpoint_at(double t);
+
   int capacity_;
-  int base_usage_ = 0;           // usage carried by pruned breakpoints
-  std::map<double, int> delta_;  // time -> usage change at that time
+  int base_usage_ = 0;  // usage before the first breakpoint
+  // level_[t] is the usage on [t, next breakpoint). Storing levels
+  // rather than deltas makes the usage at any time one lookup, however
+  // deep the queued backlog is.
+  std::map<double, int> level_;
   double busy_unit_seconds_ = 0.0;
   double last_end_ = 0.0;
   double prune_horizon_ = 0.0;

@@ -154,7 +154,9 @@ TEST(Builders, ComputingErrorTargetsCurrentColumn) {
     EXPECT_EQ(s.type, FaultType::Computing);
     EXPECT_EQ(s.iteration, iter);
     EXPECT_EQ(s.block_col, iter);
-    if (s.op == Op::Gemm) EXPECT_GT(s.block_row, iter);
+    if (s.op == Op::Gemm) {
+      EXPECT_GT(s.block_row, iter);
+    }
   }
 }
 

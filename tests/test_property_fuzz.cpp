@@ -121,7 +121,9 @@ TEST_P(CholeskyFuzz, InvariantsHoldUnderRandomConfig) {
   EXPECT_GE(res.errors_detected, 0);
   EXPECT_LE(res.errors_corrected,
             res.errors_detected + res.errors_corrected);
-  if (c.variant == Variant::NoFt) EXPECT_EQ(res.verified.total(), 0);
+  if (c.variant == Variant::NoFt) {
+    EXPECT_EQ(res.verified.total(), 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CholeskyFuzz, ::testing::Range(0, 40));

@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "blas/lapack.hpp"
 #include "blas/level3.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/executor.hpp"
@@ -96,6 +98,105 @@ TEST(GraphInference, DuplicateEdgesCollapse) {
   ASSERT_EQ(g.node(r).preds.size(), 1u);
   EXPECT_EQ(g.node(r).preds[0], w);
   EXPECT_EQ(g.edge_count(), 1);
+}
+
+// Naive reference for inference: before footprint k of task j touches
+// tile T, rescan every earlier access to T (all earlier tasks, then
+// j's own earlier footprints). The last writer precedes j; for a write,
+// so does every reader after that writer. Edges dedupe by scanning
+// preds, as the graph did before it kept a hashed tile table.
+struct NaiveGraph {
+  std::vector<std::vector<Footprint>> footprints;
+  std::vector<std::vector<int>> preds;
+  std::vector<std::vector<int>> succs;
+  std::int64_t edges = 0;
+
+  void link(int from, int to) {
+    auto& p = preds[static_cast<std::size_t>(to)];
+    if (from == to || std::find(p.begin(), p.end(), from) != p.end()) return;
+    p.push_back(from);
+    succs[static_cast<std::size_t>(from)].push_back(to);
+    ++edges;
+  }
+
+  void add_task(const std::vector<Footprint>& fp) {
+    const int j = static_cast<int>(footprints.size());
+    footprints.push_back(fp);
+    preds.emplace_back();
+    succs.emplace_back();
+    for (std::size_t k = 0; k < fp.size(); ++k) {
+      int last_writer = -1;
+      std::vector<int> readers;
+      for (int i = 0; i <= j; ++i) {
+        const auto& other = footprints[static_cast<std::size_t>(i)];
+        const std::size_t end = i == j ? k : other.size();
+        for (std::size_t q = 0; q < end; ++q) {
+          if (!(other[q].tile == fp[k].tile)) continue;
+          if (other[q].access == Access::Read) {
+            readers.push_back(i);
+          } else {
+            last_writer = i;
+            readers.clear();
+          }
+        }
+      }
+      if (last_writer >= 0) link(last_writer, j);
+      if (fp[k].access != Access::Read) {
+        for (int r : readers) link(r, j);
+      }
+    }
+  }
+};
+
+TEST(GraphInference, HashedTileTableMatchesNaiveReference) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    TaskGraph g;
+    NaiveGraph ref;
+    // A small pool, so tiles are shared often; some keys far from the
+    // origin and negative, as namespaced matrix ids can be.
+    const auto tile = [&] {
+      const int m = rng.uniform_int(0, 3) == 0 ? -7 : rng.uniform_int(0, 2);
+      return t(m, rng.uniform_int(0, 4), rng.uniform_int(0, 3) * 100003);
+    };
+    for (int j = 0; j < 300; ++j) {
+      std::vector<Footprint> fp;
+      const int len = rng.uniform_int(0, 5);
+      for (int k = 0; k < len; ++k) {
+        const auto access = static_cast<Access>(rng.uniform_int(0, 2));
+        // Repeat an earlier footprint tile of this task now and then.
+        const TileKey key = (k > 0 && rng.uniform_int(0, 3) == 0)
+                                ? fp[static_cast<std::size_t>(
+                                         rng.uniform_int(0, k - 1))]
+                                      .tile
+                                : tile();
+        fp.push_back({key, access});
+      }
+      ASSERT_EQ(g.add_task("t", fp, noop()), j);
+      ref.add_task(fp);
+      // Explicit edges into the newest node, which may repeat an edge
+      // inference just made, and into an older node.
+      if (j > 0 && rng.uniform_int(0, 2) == 0) {
+        const int from = rng.uniform_int(0, j - 1);
+        g.add_edge(from, j);
+        ref.link(from, j);
+      }
+      if (j > 1 && rng.uniform_int(0, 3) == 0) {
+        const int to = rng.uniform_int(1, j - 1);
+        const int from = rng.uniform_int(0, to - 1);
+        g.add_edge(from, to);
+        ref.link(from, to);
+      }
+    }
+    ASSERT_EQ(g.size(), static_cast<int>(ref.preds.size()));
+    EXPECT_EQ(g.edge_count(), ref.edges) << "seed " << seed;
+    for (int id = 0; id < g.size(); ++id) {
+      ASSERT_EQ(g.node(id).preds, ref.preds[static_cast<std::size_t>(id)])
+          << "seed " << seed << " node " << id;
+      ASSERT_EQ(g.node(id).succs, ref.succs[static_cast<std::size_t>(id)])
+          << "seed " << seed << " node " << id;
+    }
+  }
 }
 
 // --------------------------- scheduling --------------------------------

@@ -1,7 +1,11 @@
 // ResourceTimeline tests: capacity packing, delayed starts, window
-// conflicts, pruning, and a randomized never-exceeds-capacity property.
+// conflicts, pruning, a randomized never-exceeds-capacity property, and
+// a differential test against the original delta-map allocator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -175,6 +179,149 @@ TEST(TimelineProperty, WorkConservingForUnitJobs) {
   }
   EXPECT_NEAR(t.busy_unit_seconds(), total, 1e-9);
   EXPECT_NEAR(t.last_end(), total, 1e-9);
+}
+
+// The allocator as it was before ResourceTimeline stored levels: a map
+// of usage deltas summed from the front on every query. Kept only as a
+// reference; the level map must return the same start times bit for bit.
+class DeltaTimeline {
+ public:
+  explicit DeltaTimeline(int capacity) : capacity_(capacity) {}
+
+  double allocate(double earliest, double duration, int units) {
+    const int avail = capacity_ - units;
+    double t = earliest;
+    int usage = base_usage_;
+    auto it = delta_.begin();
+    for (; it != delta_.end() && it->first <= t; ++it) usage += it->second;
+    while (true) {
+      if (usage > avail) {
+        usage += it->second;
+        t = it->first;
+        ++it;
+        continue;
+      }
+      bool fits = true;
+      int scan_usage = usage;
+      for (auto jt = it; jt != delta_.end() && jt->first < t + duration;
+           ++jt) {
+        scan_usage += jt->second;
+        if (scan_usage > avail) {
+          usage = scan_usage;
+          t = jt->first;
+          it = std::next(jt);
+          fits = false;
+          break;
+        }
+      }
+      if (fits) break;
+    }
+    delta_[t] += units;
+    delta_[t + duration] -= units;
+    busy_unit_seconds_ += duration * units;
+    last_end_ = std::max(last_end_, t + duration);
+    return t;
+  }
+
+  [[nodiscard]] int usage_at(double t) const {
+    if (t < prune_horizon_) return 0;
+    int usage = base_usage_;
+    for (const auto& [time, d] : delta_) {
+      if (time > t) break;
+      usage += d;
+    }
+    return usage;
+  }
+
+  void prune(double t) {
+    if (t <= prune_horizon_) return;
+    auto it = delta_.begin();
+    while (it != delta_.end() && it->first <= t) {
+      base_usage_ += it->second;
+      it = delta_.erase(it);
+    }
+    prune_horizon_ = t;
+  }
+
+  [[nodiscard]] std::vector<double> breakpoints() const {
+    std::vector<double> out;
+    for (const auto& entry : delta_) out.push_back(entry.first);
+    return out;
+  }
+  [[nodiscard]] double busy_unit_seconds() const { return busy_unit_seconds_; }
+  [[nodiscard]] double last_end() const { return last_end_; }
+
+ private:
+  int capacity_;
+  int base_usage_ = 0;
+  std::map<double, int> delta_;
+  double busy_unit_seconds_ = 0.0;
+  double last_end_ = 0.0;
+  double prune_horizon_ = 0.0;
+};
+
+// usage_at must agree at every breakpoint, between each pair of
+// neighbours, and on both sides of the stored range.
+void expect_same_usage(const ResourceTimeline& got, const DeltaTimeline& want,
+                       double horizon, std::uint64_t seed, int step) {
+  const std::vector<double> bps = want.breakpoints();
+  std::vector<double> probes = {0.0, horizon, want.last_end() + 1.0};
+  for (std::size_t i = 0; i < bps.size(); ++i) {
+    probes.push_back(bps[i]);
+    if (i + 1 < bps.size()) probes.push_back(0.5 * (bps[i] + bps[i + 1]));
+  }
+  for (double at : probes) {
+    ASSERT_EQ(got.usage_at(at), want.usage_at(at))
+        << "seed " << seed << " step " << step << " at " << at;
+  }
+}
+
+TEST(TimelineDifferential, LevelMapMatchesDeltaMapReference) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const int cap = rng.uniform_int(1, 16);
+    ResourceTimeline got(cap);
+    DeltaTimeline want(cap);
+    double horizon = 0.0;  // every future `earliest` stays at or past it
+    for (int step = 0; step < 400; ++step) {
+      const int op = rng.uniform_int(0, 9);
+      if (op < 8) {
+        // Quarter-unit grids make starts and ends coincide often (and
+        // so zero-net breakpoints); some seeds use arbitrary doubles.
+        const bool grid = seed % 3 != 0;
+        const auto draw = [&](double span) {
+          return grid ? 0.25 * rng.uniform_int(0, static_cast<int>(span * 4))
+                      : rng.uniform(0.0, span);
+        };
+        // Behind the backlog (anywhere from the horizon on) or ahead
+        // of it (past the last queued end).
+        const double base = rng.uniform_int(0, 3) == 0
+                                ? std::max(horizon, want.last_end())
+                                : horizon;
+        const double earliest = base + draw(4.0);
+        const double duration = rng.uniform_int(0, 7) == 0 ? 0.0 : draw(3.0);
+        const int units = rng.uniform_int(1, cap);
+        const double a = got.allocate(earliest, duration, units);
+        const double b = want.allocate(earliest, duration, units);
+        ASSERT_EQ(a, b) << "seed " << seed << " step " << step;
+      } else if (op < 9) {
+        // Prune like the machine does: never past the last end, and
+        // sometimes at or behind the current horizon (a no-op).
+        const double t = std::min(horizon + rng.uniform(-0.5, 2.0),
+                                  want.last_end());
+        got.prune(t);
+        want.prune(t);
+        horizon = std::max(horizon, t);
+      } else {
+        expect_same_usage(got, want, horizon, seed, step);
+        if (HasFatalFailure()) return;
+      }
+    }
+    expect_same_usage(got, want, horizon, seed, -1);
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(got.busy_unit_seconds(), want.busy_unit_seconds());
+    EXPECT_EQ(got.last_end(), want.last_end());
+  }
 }
 
 }  // namespace

@@ -253,11 +253,13 @@ int main(int argc, char** argv) {
               "bad", "burn_rate", "state");
   for (const auto& st : slo.states()) {
     std::printf("%-14s %9.4f %6lld %6lld %12.4e %s\n",
-                st.spec.name.c_str(), st.spec.objective, st.total, st.bad,
-                st.burn_rate(), st.alerting ? "ALERTING" : "ok");
+                st.spec.name.c_str(), st.spec.objective,
+                static_cast<long long>(st.total),
+                static_cast<long long>(st.bad), st.burn_rate(),
+                st.alerting ? "ALERTING" : "ok");
   }
   std::printf("slo p99   : %.9e s (%lld alert(s))\n", slo.latency_p99(),
-              slo.alerts_fired());
+              static_cast<long long>(slo.alerts_fired()));
 
   if (!sum.failures.empty()) {
     std::printf("\n%zu invariant violation(s):\n", sum.failures.size());
