@@ -4,6 +4,11 @@
 #include <cstddef>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define FTLA_BLAS_X86 1
+#endif
+
 #include "blas/level2.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -119,22 +124,9 @@ void pack_b_panel(Trans tb, ConstMatrixView<double> b, int pc, int jc,
   }
 }
 
-/// C[0:mr, 0:nr] += ap * bp over kc: the register tile is a fixed-size
-/// local array updated with compile-time-bounded loops, which the
-/// compiler unrolls and vectorizes; the writeback clips to the live
-/// mr x nr corner.
-void micro_kernel(int kc, const double* ap, const double* bp, double* c,
-                  int ldc, int mr, int nr) {
-  double acc[kGemmMR * kGemmNR] = {};
-  for (int p = 0; p < kc; ++p) {
-    const double* a = ap + static_cast<std::size_t>(p) * kGemmMR;
-    const double* b = bp + static_cast<std::size_t>(p) * kGemmNR;
-    for (int j = 0; j < kGemmNR; ++j) {
-      const double bj = b[j];
-      double* accj = acc + j * kGemmMR;
-      for (int i = 0; i < kGemmMR; ++i) accj[i] += a[i] * bj;
-    }
-  }
+/// C[0:mr, 0:nr] += acc, clipped to the live mr x nr corner of the
+/// column-major kGemmMR x kGemmNR tile `acc`.
+void add_tile(const double* acc, double* c, int ldc, int mr, int nr) {
   if (mr == kGemmMR && nr == kGemmNR) {
     for (int j = 0; j < kGemmNR; ++j) {
       double* cj = c + static_cast<std::ptrdiff_t>(j) * ldc;
@@ -149,6 +141,84 @@ void micro_kernel(int kc, const double* ap, const double* bp, double* c,
     }
   }
 }
+
+/// Portable microkernel (detail::MicroKernel): the tile is a local
+/// array, which the compiler does not keep in registers; it runs where
+/// AVX2 is unavailable and is the reference the AVX2 kernel must match.
+void micro_kernel(int kc, const double* ap, const double* bp, double* c,
+                  int ldc, int mr, int nr) {
+  double acc[kGemmMR * kGemmNR] = {};
+  for (int p = 0; p < kc; ++p) {
+    const double* a = ap + static_cast<std::size_t>(p) * kGemmMR;
+    const double* b = bp + static_cast<std::size_t>(p) * kGemmNR;
+    for (int j = 0; j < kGemmNR; ++j) {
+      const double bj = b[j];
+      double* accj = acc + j * kGemmMR;
+      for (int i = 0; i < kGemmMR; ++i) accj[i] += a[i] * bj;
+    }
+  }
+  add_tile(acc, c, ldc, mr, nr);
+}
+
+#ifdef FTLA_BLAS_X86
+static_assert(kGemmMR == 8 && kGemmNR == 6,
+              "micro_kernel_avx2 hard-codes an 8 x 6 tile");
+
+/// The same tile as micro_kernel in twelve AVX2 registers: column j of
+/// the tile is lo_j (rows 0-3) and hi_j (rows 4-7). Every element is
+/// acc = acc + a * b with a separate multiply and add, in ascending p
+/// from +0.0, then c = c + acc: exactly the portable kernel's roundings.
+/// The avx2 target does not include FMA, and the build pins
+/// -ffp-contract=off, so the compiler may not fuse the pair either.
+__attribute__((target("avx2"))) void micro_kernel_avx2(
+    int kc, const double* ap, const double* bp, double* c, int ldc, int mr,
+    int nr) {
+  __m256d lo0 = _mm256_setzero_pd(), hi0 = _mm256_setzero_pd();
+  __m256d lo1 = _mm256_setzero_pd(), hi1 = _mm256_setzero_pd();
+  __m256d lo2 = _mm256_setzero_pd(), hi2 = _mm256_setzero_pd();
+  __m256d lo3 = _mm256_setzero_pd(), hi3 = _mm256_setzero_pd();
+  __m256d lo4 = _mm256_setzero_pd(), hi4 = _mm256_setzero_pd();
+  __m256d lo5 = _mm256_setzero_pd(), hi5 = _mm256_setzero_pd();
+  for (int p = 0; p < kc; ++p) {
+    const double* a = ap + static_cast<std::size_t>(p) * kGemmMR;
+    const double* b = bp + static_cast<std::size_t>(p) * kGemmNR;
+    const __m256d alo = _mm256_loadu_pd(a);
+    const __m256d ahi = _mm256_loadu_pd(a + 4);
+    __m256d bj = _mm256_broadcast_sd(b);
+    lo0 = _mm256_add_pd(lo0, _mm256_mul_pd(alo, bj));
+    hi0 = _mm256_add_pd(hi0, _mm256_mul_pd(ahi, bj));
+    bj = _mm256_broadcast_sd(b + 1);
+    lo1 = _mm256_add_pd(lo1, _mm256_mul_pd(alo, bj));
+    hi1 = _mm256_add_pd(hi1, _mm256_mul_pd(ahi, bj));
+    bj = _mm256_broadcast_sd(b + 2);
+    lo2 = _mm256_add_pd(lo2, _mm256_mul_pd(alo, bj));
+    hi2 = _mm256_add_pd(hi2, _mm256_mul_pd(ahi, bj));
+    bj = _mm256_broadcast_sd(b + 3);
+    lo3 = _mm256_add_pd(lo3, _mm256_mul_pd(alo, bj));
+    hi3 = _mm256_add_pd(hi3, _mm256_mul_pd(ahi, bj));
+    bj = _mm256_broadcast_sd(b + 4);
+    lo4 = _mm256_add_pd(lo4, _mm256_mul_pd(alo, bj));
+    hi4 = _mm256_add_pd(hi4, _mm256_mul_pd(ahi, bj));
+    bj = _mm256_broadcast_sd(b + 5);
+    lo5 = _mm256_add_pd(lo5, _mm256_mul_pd(alo, bj));
+    hi5 = _mm256_add_pd(hi5, _mm256_mul_pd(ahi, bj));
+  }
+  const __m256d tile[] = {lo0, hi0, lo1, hi1, lo2, hi2,
+                          lo3, hi3, lo4, hi4, lo5, hi5};
+  if (mr == kGemmMR && nr == kGemmNR) {
+    for (int j = 0; j < kGemmNR; ++j) {
+      double* cj = c + static_cast<std::ptrdiff_t>(j) * ldc;
+      _mm256_storeu_pd(cj, _mm256_add_pd(_mm256_loadu_pd(cj), tile[2 * j]));
+      _mm256_storeu_pd(cj + 4, _mm256_add_pd(_mm256_loadu_pd(cj + 4),
+                                             tile[2 * j + 1]));
+    }
+    return;
+  }
+  alignas(32) double acc[kGemmMR * kGemmNR];
+  for (int v = 0; v < 2 * kGemmNR; ++v) _mm256_store_pd(acc + 4 * v, tile[v]);
+  add_tile(acc, c, ldc, mr, nr);
+}
+#endif
 
 [[nodiscard]] constexpr int round_up(int v, int to) {
   return (v + to - 1) / to * to;
@@ -181,8 +251,18 @@ void gemm_core(Trans ta, ConstMatrixView<double> a, Trans tb,
       kc_max;
   std::vector<double> bpack(
       static_cast<std::size_t>(round_up(nc_max, kGemmNR)) * kc_max);
-  std::vector<double> apack_serial;
-  if (!use_pool) apack_serial.resize(apack_elems);
+  // One packed-A buffer per pool chunk, allocated on the chunk's first
+  // use and reused for every (jc, pc) panel pair; a chunk runs on one
+  // lane at a time and the panel pairs are separated by the pool's
+  // barrier, so no two lanes share a buffer.
+  std::vector<std::vector<double>> apacks(use_pool ? mblocks : 1);
+  const auto apack_for = [&](std::size_t chunk) {
+    std::vector<double>& buf = apacks[chunk];
+    if (buf.empty()) buf.resize(apack_elems);
+    return buf.data();
+  };
+  detail::MicroKernel kernel = detail::avx2_micro_kernel();
+  if (kernel == nullptr) kernel = micro_kernel;
   for (int jc = 0; jc < n; jc += kGemmNC) {
     const int nc = std::min(kGemmNC, n - jc);
     for (int pc = 0; pc < k; pc += kGemmKC) {
@@ -198,8 +278,8 @@ void gemm_core(Trans ta, ConstMatrixView<double> a, Trans tb,
           const double* bp = bpack.data() + static_cast<std::size_t>(js) * kc;
           for (int is = 0; is < mc; is += kGemmMR) {
             const int mr = std::min(kGemmMR, mc - is);
-            micro_kernel(kc, apack + static_cast<std::size_t>(is) * kc, bp,
-                         &c(ic + is, jc + js), c.ld(), mr, nr);
+            kernel(kc, apack + static_cast<std::size_t>(is) * kc, bp,
+                   &c(ic + is, jc + js), c.ld(), mr, nr);
           }
         }
       };
@@ -207,21 +287,47 @@ void gemm_core(Trans ta, ConstMatrixView<double> a, Trans tb,
       if (use_pool) {
         pool->parallel_for_chunks(
             0, mblocks, [&](std::int64_t lo, std::int64_t hi) {
-              std::vector<double> apack(apack_elems);
+              double* apack = apack_for(static_cast<std::size_t>(lo));
               for (std::int64_t ib = lo; ib < hi; ++ib) {
-                run_block(static_cast<int>(ib), apack.data());
+                run_block(static_cast<int>(ib), apack);
               }
             });
       } else {
-        for (int ib = 0; ib < mblocks; ++ib) {
-          run_block(ib, apack_serial.data());
-        }
+        double* apack = apack_for(0);
+        for (int ib = 0; ib < mblocks; ++ib) run_block(ib, apack);
       }
     }
   }
 }
 
 }  // namespace
+
+namespace detail {
+
+bool cpu_has_avx2() {
+#ifdef FTLA_BLAS_X86
+  // Function-local: CPU detection must run before the first query, and
+  // namespace-scope initializers have no order guarantee against it.
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+MicroKernel portable_micro_kernel() { return micro_kernel; }
+
+MicroKernel avx2_micro_kernel() {
+#ifdef FTLA_BLAS_X86
+  if (cpu_has_avx2()) return micro_kernel_avx2;
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
 
 void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView<double> a,
           ConstMatrixView<double> b, double beta, MatrixView<double> c) {
@@ -304,10 +410,13 @@ void syrk(Uplo uplo, Trans trans, double alpha, ConstMatrixView<double> a,
   };
   const Trans tx = trans;
   const Trans txt = trans == Trans::No ? Trans::Yes : Trans::No;
+  Matrix<double> diag_scratch(std::min(kTriBlock, n), std::min(kTriBlock, n));
   for (int j0 = 0; j0 < n; j0 += kTriBlock) {
     const int w = std::min(kTriBlock, n - j0);
-    Matrix<double> tmp(w, w);
-    gemm_core(tx, xrows(j0, w), txt, xrows(j0, w), alpha, k, tmp.view());
+    // gemm_core accumulates, so the diagonal block starts from +0.0.
+    const MatrixView<double> tmp = diag_scratch.block(0, 0, w, w);
+    scale_inplace(tmp, 0.0);
+    gemm_core(tx, xrows(j0, w), txt, xrows(j0, w), alpha, k, tmp);
     for (int j = 0; j < w; ++j) {
       const int lo = uplo == Uplo::Lower ? j : 0;
       const int hi = uplo == Uplo::Lower ? w : j + 1;

@@ -2,9 +2,10 @@
 //
 // These are the routines MAGMA's hybrid Cholesky dispatches to the GPU
 // (GEMM, SYRK, TRSM). The implementations are cache-blocked with packed
-// operand panels and a register-tiled microkernel (plain C++ written so
-// the compiler auto-vectorizes), parallelized over row panels through
-// the shared thread pool (common/thread_pool.hpp). The naive loops in
+// operand panels and an 8 x 6 register-tiled microkernel (AVX2
+// intrinsics, chosen at run time from CPUID, with a bit-identical
+// portable C++ fallback), parallelized over row panels through the
+// shared thread pool (common/thread_pool.hpp). The naive loops in
 // blas/reference.cpp remain the conformance oracle; docs/performance.md
 // describes the blocking scheme and how to tune it.
 #pragma once
@@ -47,6 +48,29 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
 /// with A triangular.
 void trmm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView<double> a, MatrixView<double> b);
+
+namespace detail {
+
+/// One MR x NR microkernel of the packed GEMM core:
+/// C[0:mr, 0:nr] += ap * bp over depth kc, where `ap` holds kc packed
+/// columns of kGemmMR rows and `bp` kc packed rows of kGemmNR columns.
+/// Each C element sums its kc products from zero in ascending order and
+/// is then added to C once.
+using MicroKernel = void (*)(int kc, const double* ap, const double* bp,
+                             double* c, int ldc, int mr, int nr);
+
+/// True when the running CPU (and the OS) supports AVX2. Detected once,
+/// on first call; always false on non-x86 builds.
+[[nodiscard]] bool cpu_has_avx2();
+
+/// Test hooks: the portable microkernel, and the AVX2 one (nullptr
+/// when cpu_has_avx2() is false). The GEMM core runs the AVX2 kernel
+/// whenever it exists; both round every product and sum alike, so
+/// their results are bit-identical.
+[[nodiscard]] MicroKernel portable_micro_kernel();
+[[nodiscard]] MicroKernel avx2_micro_kernel();
+
+}  // namespace detail
 
 /// Copies the `uplo` triangle of a symmetric matrix into the other
 /// triangle so the matrix becomes explicitly symmetric.

@@ -3,7 +3,11 @@
 // alpha/beta, including empty and degenerate shapes).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "blas/level3.hpp"
 #include "blas/reference.hpp"
@@ -370,6 +374,97 @@ TEST_F(ThreadedBlas, ParallelGemmMatchesReference) {
   ref::gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), -0.3,
             c_ref.view());
   EXPECT_MATRIX_NEAR(c, c_ref, 1e-9);
+}
+
+// --------------------------------------------------------------------
+// Microkernel sameness: every C element sums its kc products from +0.0
+// in ascending p, one rounded multiply and one rounded add each, then is
+// added to C once. The portable kernel must produce exactly those bits
+// and the AVX2 kernel exactly the portable kernel's, also for signed
+// zeros, infinities, NaNs and subnormals.
+// --------------------------------------------------------------------
+
+constexpr int kTileLd = kGemmMR + 3;  // ldc > MR: rows below the tile
+
+/// The microkernel contract written out per element.
+void reference_tile(int kc, const double* ap, const double* bp, double* c,
+                    int ldc, int mr, int nr) {
+  for (int j = 0; j < nr; ++j) {
+    for (int i = 0; i < mr; ++i) {
+      double acc = 0.0;
+      for (int p = 0; p < kc; ++p) {
+        acc += ap[p * kGemmMR + i] * bp[p * kGemmNR + j];
+      }
+      c[j * ldc + i] += acc;
+    }
+  }
+}
+
+/// When two NaNs of different sign meet in an add, x86 returns the one
+/// the compiler placed first, and C++ leaves that order open, so no
+/// kernel can pin a NaN result's sign or payload. Every NaN becomes one
+/// quiet NaN before the byte compare; all other bits are compared as
+/// computed.
+void canonicalize_nans(std::vector<double>& v) {
+  for (double& x : v) {
+    if (std::isnan(x)) x = std::numeric_limits<double>::quiet_NaN();
+  }
+}
+
+/// Runs `kernel` and `expected` on identical inputs for every mr x nr
+/// corner and the depths around KC, over finite data salted with special
+/// values; the whole C buffer, rows and columns outside the tile
+/// included, must match byte for byte.
+void expect_same_tiles(detail::MicroKernel kernel,
+                       detail::MicroKernel expected, std::uint64_t seed) {
+  FTLA_SEED_TRACE(seed);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0,
+                             -0.0,
+                             inf,
+                             -inf,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -0x1.8p-1030,  // subnormal
+                             0x1p-540};     // squares to a subnormal
+  Rng rng(seed);
+  const auto fill = [&](std::vector<double>& v) {
+    for (double& x : v) x = rng.uniform(-2.0, 2.0);
+    for (const double s : specials) v[rng.next_below(v.size())] = s;
+  };
+  for (const int kc : {0, 1, 2, kGemmKC - 1, kGemmKC}) {
+    const auto depth = static_cast<std::size_t>(std::max(kc, 1));
+    std::vector<double> ap(depth * kGemmMR);
+    std::vector<double> bp(depth * kGemmNR);
+    std::vector<double> c_want(static_cast<std::size_t>(kTileLd) * kGemmNR);
+    for (int mr = 1; mr <= kGemmMR; ++mr) {
+      for (int nr = 1; nr <= kGemmNR; ++nr) {
+        fill(ap);
+        fill(bp);
+        fill(c_want);
+        std::vector<double> c = c_want;
+        expected(kc, ap.data(), bp.data(), c_want.data(), kTileLd, mr, nr);
+        kernel(kc, ap.data(), bp.data(), c.data(), kTileLd, mr, nr);
+        canonicalize_nans(c);
+        canonicalize_nans(c_want);
+        EXPECT_EQ(0, std::memcmp(c.data(), c_want.data(),
+                                 c.size() * sizeof(double)))
+            << "kc=" << kc << " mr=" << mr << " nr=" << nr;
+      }
+    }
+  }
+}
+
+TEST(MicroKernel, PortableMatchesContractBitForBit) {
+  expect_same_tiles(detail::portable_micro_kernel(), reference_tile,
+                    test::root_seed(46));
+}
+
+TEST(MicroKernel, Avx2MatchesPortableBitForBit) {
+  const detail::MicroKernel avx2 = detail::avx2_micro_kernel();
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 on this CPU";
+  expect_same_tiles(avx2, detail::portable_micro_kernel(),
+                    test::root_seed(47));
 }
 
 TEST(FlopCounts, MatchClosedForms) {
