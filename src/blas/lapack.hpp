@@ -51,6 +51,23 @@ double lange(Norm norm, ConstMatrixView<double> a);
 double cholesky_residual(ConstMatrixView<double> a_original,
                          ConstMatrixView<double> l);
 
+namespace detail {
+
+using Residual = double (*)(ConstMatrixView<double> a_original,
+                            ConstMatrixView<double> factor);
+
+/// Test hooks: the portable residual oracles (column loops) and their
+/// AVX2 twins (register tiles; nullptr when cpu_has_avx2() is false),
+/// which cholesky_residual and lu_residual run whenever they exist. Both
+/// sum every entry's products in the same order and feed the norm in the
+/// same order, so their residuals are bit-identical.
+[[nodiscard]] Residual portable_cholesky_residual();
+[[nodiscard]] Residual avx2_cholesky_residual();
+[[nodiscard]] Residual portable_lu_residual();
+[[nodiscard]] Residual avx2_lu_residual();
+
+}  // namespace detail
+
 /// Max absolute elementwise difference between two equally sized views;
 /// NaN if any difference is NaN.
 double max_abs_diff(ConstMatrixView<double> a, ConstMatrixView<double> b);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "blas/lapack.hpp"
+#include "blas/level3.hpp"
 #include "blas/qr.hpp"
 #include "common/error.hpp"
 
@@ -165,6 +166,41 @@ void potrf(MatrixView<double> a) {
       double s = a(i, j);
       for (int k = 0; k < j; ++k) s -= a(i, k) * a(j, k);
       a(i, j) = s / d;
+    }
+  }
+}
+
+void larfb_left_t(ConstMatrixView<double> v, ConstMatrixView<double> t,
+                  MatrixView<double> c) {
+  const int m = c.rows();
+  const int n = c.cols();
+  const int k = v.cols();
+  FTLA_CHECK(v.rows() == m && t.rows() == k && t.cols() == k && k <= m);
+  if (n == 0 || k == 0) return;
+  // W = V^T C (k x n), honoring the implicit unit diagonal of V.
+  Matrix<double> w(k, n);
+  for (int col = 0; col < n; ++col) {
+    const double* cc = &c(0, col);
+    for (int i = 0; i < k; ++i) {
+      double s = cc[i];
+      const double* vi = &v(0, i);
+      for (int r = i + 1; r < m; ++r) s += vi[r] * cc[r];
+      w(i, col) = s;
+    }
+  }
+  // W := T^T W, with the production TRMM: only the two loops around it
+  // are under test.
+  blas::trmm(Side::Left, Uplo::Upper, Trans::Yes, Diag::NonUnit, 1.0, t,
+             w.view());
+  // C -= V W.
+  for (int col = 0; col < n; ++col) {
+    double* cc = &c(0, col);
+    for (int i = 0; i < k; ++i) {
+      const double s = w(i, col);
+      if (s == 0.0) continue;
+      cc[i] -= s;
+      const double* vi = &v(0, i);
+      for (int r = i + 1; r < m; ++r) cc[r] -= vi[r] * s;
     }
   }
 }

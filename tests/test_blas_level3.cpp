@@ -400,17 +400,6 @@ void reference_tile(int kc, const double* ap, const double* bp, double* c,
   }
 }
 
-/// When two NaNs of different sign meet in an add, x86 returns the one
-/// the compiler placed first, and C++ leaves that order open, so no
-/// kernel can pin a NaN result's sign or payload. Every NaN becomes one
-/// quiet NaN before the byte compare; all other bits are compared as
-/// computed.
-void canonicalize_nans(std::vector<double>& v) {
-  for (double& x : v) {
-    if (std::isnan(x)) x = std::numeric_limits<double>::quiet_NaN();
-  }
-}
-
 /// Runs `kernel` and `expected` on identical inputs for every mr x nr
 /// corner and the depths around KC, over finite data salted with special
 /// values; the whole C buffer, rows and columns outside the tile
@@ -445,8 +434,8 @@ void expect_same_tiles(detail::MicroKernel kernel,
         std::vector<double> c = c_want;
         expected(kc, ap.data(), bp.data(), c_want.data(), kTileLd, mr, nr);
         kernel(kc, ap.data(), bp.data(), c.data(), kTileLd, mr, nr);
-        canonicalize_nans(c);
-        canonicalize_nans(c_want);
+        test::canonicalize_nans(c);
+        test::canonicalize_nans(c_want);
         EXPECT_EQ(0, std::memcmp(c.data(), c_want.data(),
                                  c.size() * sizeof(double)))
             << "kc=" << kc << " mr=" << mr << " nr=" << nr;

@@ -183,6 +183,38 @@ void expect_twins_agree(double fast, double naive) {
 }
 
 constexpr double kPerturbations[] = {1e-9, 1e-6, 1e-3, 1.0};
+constexpr double kSpecials[] = {-0.0, kInf, -kInf, kNan};
+
+/// The AVX2 tiles of an oracle against its column loops, bit for bit,
+/// and the dispatched oracle against whichever of them it runs.
+void expect_same_kernels(detail::Residual portable, detail::Residual avx2,
+                         detail::Residual dispatched,
+                         ConstMatrixView<double> a,
+                         ConstMatrixView<double> f) {
+  const double want = portable(a, f);
+  if (avx2 != nullptr) {
+    EXPECT_TRUE(test::same_bits(avx2(a, f), want));
+  }
+  EXPECT_TRUE(test::same_bits(dispatched(a, f), want));
+}
+
+void expect_same_cholesky(ConstMatrixView<double> a,
+                          ConstMatrixView<double> l) {
+  expect_same_kernels(detail::portable_cholesky_residual(),
+                      detail::avx2_cholesky_residual(), cholesky_residual, a,
+                      l);
+}
+
+void expect_same_lu(ConstMatrixView<double> a, ConstMatrixView<double> lu) {
+  expect_same_kernels(detail::portable_lu_residual(),
+                      detail::avx2_lu_residual(), lu_residual, a, lu);
+}
+
+TEST(ResidualKernels, Avx2TwinsRunWhereTheCpuHasAvx2) {
+  if (!detail::cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  EXPECT_NE(detail::avx2_cholesky_residual(), nullptr);
+  EXPECT_NE(detail::avx2_lu_residual(), nullptr);
+}
 
 class ResidualTwins : public ::testing::TestWithParam<int> {};
 
@@ -198,6 +230,7 @@ TEST_P(ResidualTwins, CholeskyMatchesNaive) {
   const double clean = cholesky_residual(av, lv);
   EXPECT_LT(clean, 1e-11);
   expect_twins_agree(clean, ref::cholesky_residual(av, lv));
+  expect_same_cholesky(av, lv);
   const int i = n - 1;
   const int j = n / 2;
   const double keep = lv(i, j);
@@ -206,6 +239,12 @@ TEST_P(ResidualTwins, CholeskyMatchesNaive) {
     lv(i, j) = keep + d;
     expect_twins_agree(cholesky_residual(av, lv),
                        ref::cholesky_residual(av, lv));
+    expect_same_cholesky(av, lv);
+  }
+  for (const double x : kSpecials) {
+    SCOPED_TRACE("special " + std::to_string(x));
+    lv(i, j) = x;
+    expect_same_cholesky(av, lv);
   }
 }
 
@@ -221,6 +260,7 @@ TEST_P(ResidualTwins, LuMatchesNaive) {
   const double clean = lu_residual(av, luv);
   EXPECT_LT(clean, 1e-11);
   expect_twins_agree(clean, ref::lu_residual(av, luv));
+  expect_same_lu(av, luv);
   // One entry of L (below the diagonal) and one of U (above it).
   for (const auto& [i, j] :
        {std::pair{n - 1, n / 3}, std::pair{n / 3, n - 1}}) {
@@ -230,13 +270,22 @@ TEST_P(ResidualTwins, LuMatchesNaive) {
                    std::to_string(i) + "," + std::to_string(j) + ")");
       luv(i, j) = keep + d;
       expect_twins_agree(lu_residual(av, luv), ref::lu_residual(av, luv));
+      expect_same_lu(av, luv);
+    }
+    for (const double x : kSpecials) {
+      SCOPED_TRACE("special " + std::to_string(x));
+      luv(i, j) = x;
+      expect_same_lu(av, luv);
     }
     luv(i, j) = keep;
   }
 }
 
+// Sizes at the edges of the 8 x 6 register tile, the 48-column panel
+// and the 256-deep packed slice, and past them.
 INSTANTIATE_TEST_SUITE_P(Sizes, ResidualTwins,
-                         ::testing::Values(1, 2, 7, 16, 48, 64, 80, 255, 256,
+                         ::testing::Values(1, 2, 3, 5, 7, 9, 15, 16, 17, 31,
+                                           33, 47, 48, 49, 64, 80, 255, 256,
                                            257, 384, 512));
 
 TEST(ResidualOracles, NonFiniteReadEntryReadsAsCorrupt) {
@@ -259,12 +308,14 @@ TEST(ResidualOracles, NonFiniteReadEntryReadsAsCorrupt) {
       lc(i, j) = bad;
       EXPECT_TRUE(corrupt(cholesky_residual(a.view(), lc.view())));
       EXPECT_TRUE(corrupt(ref::cholesky_residual(a.view(), lc.view())));
+      expect_same_cholesky(a.view(), lc.view());
       // The same entry in L and its mirror in U.
       for (const auto& [r, c] : {std::pair{i, j}, std::pair{j, i}}) {
         auto luc = lu;
         luc(r, c) = bad;
         EXPECT_TRUE(corrupt(lu_residual(a.view(), luc.view())));
         EXPECT_TRUE(corrupt(ref::lu_residual(a.view(), luc.view())));
+        expect_same_lu(a.view(), luc.view());
       }
     }
   }

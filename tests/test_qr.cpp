@@ -3,11 +3,15 @@
 // property, and the fault-tolerant QR driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "abft/qr.hpp"
 #include "blas/lapack.hpp"
@@ -26,6 +30,9 @@ using fault::Injector;
 using fault::Op;
 using sim::ExecutionMode;
 using sim::Machine;
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 sim::MachineProfile small_rig() {
   auto p = sim::test_rig();
@@ -107,7 +114,127 @@ TEST(Larfb, MatchesSequentialReflectors) {
   EXPECT_MATRIX_NEAR(c1, c2, 1e-11);
 }
 
+TEST(LarfbDeathTest, PanelWiderThanItsRowsAborts) {
+  // W and T take one entry per reflector from rows 0..k-1, so a panel
+  // with more reflectors than rows would read and write past a column.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Matrix<double> v(2, 3, 0.5);
+  Matrix<double> t(3, 3, 0.0);
+  Matrix<double> c(2, 4, 1.0);
+  const std::vector<double> tau(3, 1.0);
+  EXPECT_DEATH(blas::larfb_left_t(v.view(), t.view(), c.view()), "k <= m");
+  EXPECT_DEATH(blas::larft(v.view(), tau.data(), t.view()), "k <= m");
+}
+
+// ------------- larfb_left_t lanes against the plain loops ---------------
+
+/// One larfb_left_t input: V, T and C at row offset 1 of buffers three
+/// rows taller than the views, padded with NaN. V's entries on and above
+/// its diagonal are NaN too (larfb must not read them). C holds a column
+/// of -0.0 and T a zero column, so W gets rows and columns of +-0 (the
+/// exact skip), and V and C are salted with signed zeros, infinities and
+/// NaN.
+struct LarfbCase {
+  Matrix<double> v, t, c;
+
+  LarfbCase(int m, int k, int n, Rng& rng)
+      : v(m + 3, k, kNan), t(k, k, 0.0), c(m + 3, n, kNan) {
+    for (int i = 0; i < k; ++i)
+      for (int r = i + 1; r < m; ++r) v(1 + r, i) = rng.uniform(-1.0, 1.0);
+    for (int j = 0; j < k; ++j)
+      for (int i = 0; i <= j; ++i) t(i, j) = rng.uniform(-1.0, 1.0);
+    for (int j = 0; j < n; ++j)
+      for (int r = 0; r < m; ++r) c(1 + r, j) = rng.uniform(-1.0, 1.0);
+    if (k > 1) {
+      for (int i = 0; i < k; ++i) t(i, k / 2) = 0.0;
+    }
+    if (n > 1) {
+      for (int r = 0; r < m; ++r) c(1 + r, n / 2) = -0.0;
+    }
+    const double salt[] = {0.0, -0.0, kInf, -kInf, kNan};
+    for (const double x : salt) {
+      if (m > 1 && rng.next_below(2) == 0) {
+        const int i = rng.uniform_int(0, std::min(k, m - 1) - 1);
+        v(1 + rng.uniform_int(i + 1, m - 1), i) = x;
+      }
+      if (n > 0 && rng.next_below(2) == 0) {
+        c(1 + rng.uniform_int(0, m - 1), rng.uniform_int(0, n - 1)) = x;
+      }
+    }
+  }
+
+  [[nodiscard]] ConstMatrixView<double> vv() const {
+    return ConstMatrixView<double>(v.view()).block(1, 0, v.rows() - 3,
+                                                   v.cols());
+  }
+};
+
+/// Runs `larfb` and `want` on copies of the same C for every shape of the
+/// lane and tile edges; the whole C buffer, padding included, must match
+/// byte for byte.
+void expect_same_larfb(blas::detail::LarfbLeftT larfb,
+                       blas::detail::LarfbLeftT want, std::uint64_t seed) {
+  FTLA_SEED_TRACE(seed);
+  Rng rng(seed);
+  std::vector<int> ms;
+  for (int m = 1; m <= 40; ++m) ms.push_back(m);
+  for (const int m : {255, 256, 257}) ms.push_back(m);
+  // Odd widths leave a column past the pairs and fours of the kernels;
+  // the even ones are larfb_rchk's strips 2 (nb - j - 1) for nb = 6.
+  const int widths[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 10};
+  for (const int m : ms) {
+    for (const int k : {1, 3, 4, 5, 16, 17}) {
+      if (k > m) continue;
+      for (const int n : widths) {
+        const LarfbCase in(m, k, n, rng);
+        Matrix<double> got = in.c;
+        Matrix<double> expect = in.c;
+        larfb(in.vv(), in.t.view(), got.block(1, 0, m, n));
+        want(in.vv(), in.t.view(), expect.block(1, 0, m, n));
+        const auto count = static_cast<std::size_t>(got.rows()) * n;
+        test::canonicalize_nans(got.data(), count);
+        test::canonicalize_nans(expect.data(), count);
+        EXPECT_EQ(0, std::memcmp(got.data(), expect.data(),
+                                 count * sizeof(double)))
+            << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(LarfbTwins, BitIdenticalToScalar) {
+  expect_same_larfb(blas::larfb_left_t, blas::ref::larfb_left_t,
+                    test::root_seed(61));
+  expect_same_larfb(blas::detail::portable_larfb_left_t(),
+                    blas::ref::larfb_left_t, test::root_seed(62));
+}
+
+TEST(LarfbTwins, Avx2MatchesPortableBitForBit) {
+  const blas::detail::LarfbLeftT avx2 = blas::detail::avx2_larfb_left_t();
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 on this CPU";
+  expect_same_larfb(avx2, blas::detail::portable_larfb_left_t(),
+                    test::root_seed(63));
+}
+
 // --------------- residual oracle against its naive twin ---------------
+
+/// The residual of the dispatched oracle and of both kernel twins, bit
+/// for bit against the every-column twin.
+void expect_qr_twins(ConstMatrixView<double> a, ConstMatrixView<double> p,
+                     const double* tau) {
+  const double want = blas::ref::qr_residual(a, p, tau);
+  EXPECT_TRUE(test::same_bits(blas::qr_residual(a, p, tau), want));
+  EXPECT_TRUE(
+      test::same_bits(blas::detail::portable_qr_residual()(a, p, tau), want));
+  if (const auto avx2 = blas::detail::avx2_qr_residual()) {
+    EXPECT_TRUE(test::same_bits(avx2(a, p, tau), want));
+  }
+}
+
+TEST(QrResidualKernels, Avx2TwinRunsWhereTheCpuHasAvx2) {
+  if (!blas::detail::cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  EXPECT_NE(blas::detail::avx2_qr_residual(), nullptr);
+}
 
 class QrResidualTwins : public ::testing::TestWithParam<int> {};
 
@@ -126,7 +253,7 @@ TEST_P(QrResidualTwins, BitIdenticalToNaive) {
   const auto pv = test::nan_padded_view(pbuf);
   const double clean = blas::qr_residual(av, pv, tau.data());
   EXPECT_LT(clean, 1e-13);
-  EXPECT_EQ(clean, blas::ref::qr_residual(av, pv, tau.data()));
+  expect_qr_twins(av, pv, tau.data());
   // One entry of R (on/above the diagonal), one of V (below it), and
   // one reflector scalar.
   for (const auto& [i, j] : {std::pair{0, n - 1}, std::pair{n - 1, 0}}) {
@@ -135,8 +262,7 @@ TEST_P(QrResidualTwins, BitIdenticalToNaive) {
       SCOPED_TRACE("perturbation " + std::to_string(d) + " at (" +
                    std::to_string(i) + "," + std::to_string(j) + ")");
       pv(i, j) = keep + d;
-      EXPECT_EQ(blas::qr_residual(av, pv, tau.data()),
-                blas::ref::qr_residual(av, pv, tau.data()));
+      expect_qr_twins(av, pv, tau.data());
     }
     pv(i, j) = keep;
   }
@@ -144,14 +270,33 @@ TEST_P(QrResidualTwins, BitIdenticalToNaive) {
   for (const double d : {1e-9, 1e-3, 1.0}) {
     SCOPED_TRACE("tau perturbation " + std::to_string(d));
     tau[n / 2] = keep_tau + d;
-    EXPECT_EQ(blas::qr_residual(av, pv, tau.data()),
-              blas::ref::qr_residual(av, pv, tau.data()));
+    expect_qr_twins(av, pv, tau.data());
+  }
+  tau[n / 2] = keep_tau;
+  // Reflectors with tau == 0 (H = I) are skipped whole, first, middle
+  // and last.
+  for (const int j : {0, n / 2, n - 1}) {
+    SCOPED_TRACE("tau[" + std::to_string(j) + "] = 0");
+    tau[j] = 0.0;
+    expect_qr_twins(av, pv, tau.data());
   }
 }
 
+// Sizes at the lane (4), strip (32) and tile edges, and past them.
 INSTANTIATE_TEST_SUITE_P(Sizes, QrResidualTwins,
-                         ::testing::Values(1, 2, 7, 16, 48, 64, 80, 255, 256,
+                         ::testing::Values(1, 2, 3, 5, 7, 9, 15, 16, 17, 31,
+                                           33, 47, 48, 49, 64, 80, 255, 256,
                                            257, 384, 512));
+
+/// The two kernel twins, bit for bit, also where non-finite entries make
+/// the every-column twin differ.
+void expect_same_kernels(ConstMatrixView<double> a, ConstMatrixView<double> p,
+                         const double* tau) {
+  const auto avx2 = blas::detail::avx2_qr_residual();
+  if (avx2 == nullptr) return;
+  EXPECT_TRUE(test::same_bits(
+      avx2(a, p, tau), blas::detail::portable_qr_residual()(a, p, tau)));
+}
 
 TEST(QrResidual, NonFiniteReadEntryReadsAsCorrupt) {
   // A NaN or Inf in R, in V or in tau must never pass the verdict, fast
@@ -174,6 +319,7 @@ TEST(QrResidual, NonFiniteReadEntryReadsAsCorrupt) {
       EXPECT_TRUE(corrupt(blas::qr_residual(a.view(), pc.view(), tau.data())));
       EXPECT_TRUE(
           corrupt(blas::ref::qr_residual(a.view(), pc.view(), tau.data())));
+      expect_same_kernels(a.view(), pc.view(), tau.data());
     }
     for (const int j : {0, n / 2, n - 1}) {
       SCOPED_TRACE(std::to_string(bad) + " in tau[" + std::to_string(j) +
@@ -182,6 +328,7 @@ TEST(QrResidual, NonFiniteReadEntryReadsAsCorrupt) {
       tc[j] = bad;
       EXPECT_TRUE(
           corrupt(blas::qr_residual(a.view(), packed.view(), tc.data())));
+      expect_same_kernels(a.view(), packed.view(), tc.data());
       EXPECT_TRUE(
           corrupt(blas::ref::qr_residual(a.view(), packed.view(), tc.data())));
     }

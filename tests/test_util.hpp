@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
@@ -76,6 +79,27 @@ inline Matrix<double> nan_padded(const Matrix<double>& src,
 
 inline MatrixView<double> nan_padded_view(Matrix<double>& buf) {
   return buf.block(1, 0, buf.cols(), buf.cols());
+}
+
+/// When two NaNs of different sign meet in an add, x86 returns the one
+/// the compiler placed first, and C++ leaves that order open, so no
+/// kernel can pin a NaN result's sign or payload. Every NaN becomes one
+/// quiet NaN before a byte compare; all other bits are compared as
+/// computed.
+inline void canonicalize_nans(double* v, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (std::isnan(v[i])) v[i] = std::numeric_limits<double>::quiet_NaN();
+  }
+}
+
+inline void canonicalize_nans(std::vector<double>& v) {
+  canonicalize_nans(v.data(), v.size());
+}
+
+/// Bit-for-bit equality of two results, any NaN equal to any NaN.
+inline bool same_bits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 /// Max elementwise difference over the lower triangle only.
